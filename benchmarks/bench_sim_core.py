@@ -10,6 +10,13 @@ Three scenarios that dominate real model runs::
   retransmit/watchdog pattern; exercises dead-entry compaction.
 * pending-poll -- a model that checks ``sim.pending`` between events
   (the workload engine's completion test); must be O(1), not a scan.
+* process-dispatch -- one process sleeping in a loop, yielding a
+  ``Delay`` object or a bare float: the kernel's per-resume cost.
+* resource-grant -- ``Resource.use`` in a loop, uncontended (one user:
+  the inline grant) and contended (two users: every grant queued).
+
+Each row is one operation per simulated event (a timed resume or a
+bus hold), reported as M ops/s.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.sim import Simulator        # noqa: E402
+from repro.sim import Delay, Resource, Simulator, spawn  # noqa: E402
 
 
 def bench_throughput(n: int = 200_000) -> float:
@@ -58,13 +65,67 @@ def bench_pending_poll(n: int = 200_000) -> float:
     return time.perf_counter() - start
 
 
+def bench_dispatch_delay(n: int = 200_000) -> float:
+    sim = Simulator()
+
+    def sleeper():
+        for _ in range(n):
+            yield Delay(1.0)
+
+    spawn(sim, sleeper())
+    start = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - start
+
+
+def bench_dispatch_float(n: int = 200_000) -> float:
+    sim = Simulator()
+
+    def sleeper():
+        for _ in range(n):
+            yield 1.0
+
+    spawn(sim, sleeper())
+    start = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - start
+
+
+def _bench_grants(users: int, n: int) -> float:
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+
+    def user():
+        for _ in range(n // users):
+            yield from bus.use(1.0)
+
+    for _ in range(users):
+        spawn(sim, user())
+    start = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - start
+
+
+def bench_grant_uncontended(n: int = 200_000) -> float:
+    return _bench_grants(1, n)
+
+
+def bench_grant_contended(n: int = 200_000) -> float:
+    return _bench_grants(2, n)
+
+
 def main() -> int:
+    print(f"cpu_count={os.cpu_count()}  best of 3, 200,000 ops per row")
     for name, fn in (("throughput", bench_throughput),
                      ("cancel-heavy", bench_cancel_heavy),
-                     ("pending-poll", bench_pending_poll)):
+                     ("pending-poll", bench_pending_poll),
+                     ("process-dispatch/delay", bench_dispatch_delay),
+                     ("process-dispatch/float", bench_dispatch_float),
+                     ("resource-grant/uncontended", bench_grant_uncontended),
+                     ("resource-grant/contended", bench_grant_contended)):
         wall = min(fn() for _ in range(3))
-        print(f"{name:>14s}: {wall:6.3f} s  "
-              f"({200_000 / wall / 1e6:.2f} M events/s)")
+        print(f"{name:>27s}: {wall:6.3f} s  "
+              f"({200_000 / wall / 1e6:.2f} M ops/s)")
     return 0
 
 

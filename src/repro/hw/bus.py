@@ -34,15 +34,30 @@ class TurboChannel:
         self.dma_bytes_written = 0
         self.pio_words = 0
 
+    # The DMA transactions inline Resource.use: one generator level
+    # per transaction, the bus time yielded as a bare float.
+
     def dma_read(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction reading host memory (transmit direction)."""
         self.dma_bytes_read += nbytes
-        yield from self.resource.use(self.spec.dma_read_us(nbytes), PRIO_DMA)
+        bus = self.resource
+        if not bus.try_acquire():
+            yield bus.request(PRIO_DMA)
+        try:
+            yield self.spec.dma_read_us(nbytes)
+        finally:
+            bus.release()
 
     def dma_write(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction writing host memory (receive direction)."""
         self.dma_bytes_written += nbytes
-        yield from self.resource.use(self.spec.dma_write_us(nbytes), PRIO_DMA)
+        bus = self.resource
+        if not bus.try_acquire():
+            yield bus.request(PRIO_DMA)
+        try:
+            yield self.spec.dma_write_us(nbytes)
+        finally:
+            bus.release()
 
     def pio_read_words(self, nwords: int) -> Generator[Any, Any, None]:
         """Host CPU reads ``nwords`` from board memory, one word at a time."""

@@ -117,11 +117,13 @@ class DmaController:
         self._check(length, addr)
         self.transactions += 1
         self.bytes_moved += length
-        grant = yield self.engine.request()
+        engine = self.engine
+        if not engine.try_acquire():
+            yield engine.request()
         try:
             yield from self.tc.dma_write(length)
         finally:
-            grant.release()
+            engine.release()
         if self.fidelity.copy_data and data is not None:
             if self.cache is not None:
                 self.cache.dma_write(addr, data)
@@ -134,11 +136,13 @@ class DmaController:
         self._check(nbytes, addr)
         self.transactions += 1
         self.bytes_moved += nbytes
-        grant = yield self.engine.request()
+        engine = self.engine
+        if not engine.try_acquire():
+            yield engine.request()
         try:
             yield from self.tc.dma_read(nbytes)
         finally:
-            grant.release()
+            engine.release()
         if self.fidelity.copy_data:
             if self.sgmap is not None and self.sgmap.covers(addr):
                 # Bursts never cross a page, so one translation covers

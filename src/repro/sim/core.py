@@ -173,7 +173,13 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback)
+        # Inlined call_at: a non-negative delay cannot land in the
+        # past, and this is the process kernel's per-yield path.
+        time = self._now + delay
+        seq = next(self._seq)
+        self._live[seq] = (time, NO_KEY, callback)
+        heapq.heappush(self._heap, (time, NO_KEY, seq))
+        return Timer(self, seq, time)
 
     def call_now(self, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at the current time (after pending events)."""

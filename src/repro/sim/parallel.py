@@ -522,8 +522,6 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
         for channel in channels:
             channel.send(("collect", t_end))
         partials = [channel.recv()[1] for channel in channels]
-        for channel in channels:
-            channel.send(("stop",))
         return ParallelRunResult(t_end=t_end, partials=partials,
                                  windows=windows,
                                  events_processed=sum(events),
@@ -531,6 +529,15 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                                  boundary_msgs=boundary_msgs,
                                  boundary_bytes=boundary_bytes)
     finally:
+        # Stop every worker before joining any: after a shard failed,
+        # a survivor would otherwise block on its next command until
+        # close() gave up on it.  Best effort -- the failed worker may
+        # already be gone.
+        for channel in channels:
+            try:
+                channel.send(("stop",))
+            except (OSError, ValueError):
+                pass
         for channel in channels:
             channel.close()
 

@@ -7,14 +7,25 @@ paper all become processes that explicitly spend simulated time.
 
 Supported commands (anything a process may ``yield``):
 
-* :class:`Delay` -- advance simulated time.
+* a bare ``float`` -- advance simulated time by that many
+  microseconds.  This is the hot-path form: the kernel tests
+  ``type(command)`` first and allocates nothing for it.  A negative
+  value raises :class:`SimulationError` inside the process, at the
+  ``yield``.  An ``int`` is not a delay (it is rejected like any
+  unsupported command); use :class:`Delay` for integral durations.
+* :class:`Delay` -- the same, as an object (validated when built).
 * :class:`Signal` (yield it directly) -- block until the signal fires;
   the value passed to :meth:`Signal.fire` becomes the yield's value.
 * :class:`Process` (yield it directly) -- join another process; its
-  return value becomes the yield's value.
+  return value becomes the yield's value, also when it already ended.
 * ``None`` -- reschedule immediately (a cooperative yield point).
 
 Resources (:mod:`repro.sim.resources`) provide further awaitables.
+
+Every form schedules exactly one event per timed resume (none for a
+wake-up that is granted synchronously), so choosing ``yield 1.5`` over
+``yield Delay(1.5)`` never changes the event schedule -- see DESIGN.md
+section 14.
 """
 
 from __future__ import annotations
@@ -123,12 +134,22 @@ class Process:
         self.failed = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._done_latch = Latch(f"{name}.done")
+        # Built on the first join only: most processes (one per rx DMA
+        # command) are never joined.
+        self._done_latch: Optional[Latch] = None
         self._pending_timer = None
-        sim.call_now(lambda: self._step(None))
+        # The one callback every timed resume and every wake-up uses;
+        # bound once so a yield allocates no closure.
+        self._resume = self._step
+        sim.call_now(self._resume)
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         # Duck-typed with Signal so `yield process` joins it.
+        if self.done:
+            resume(self.result)
+            return
+        if self._done_latch is None:
+            self._done_latch = Latch(f"{self.name}.done")
         self._done_latch._add_waiter(resume)
 
     def interrupt(self, cause: Any = None) -> None:
@@ -154,7 +175,7 @@ class Process:
             raise
         self._dispatch(command)
 
-    def _step(self, value: Any) -> None:
+    def _step(self, value: Any = None) -> None:
         self._pending_timer = None
         try:
             command = self._gen.send(value)
@@ -167,13 +188,21 @@ class Process:
         self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
-        if command is None:
-            self._pending_timer = self.sim.call_now(lambda: self._step(None))
-        elif isinstance(command, Delay):
+        kind = type(command)
+        if kind is float:
+            if command < 0:
+                # Raised at the yield, as Delay(command) would have
+                # raised where the process built it.
+                self._throw(SimulationError(f"negative delay {command}"))
+                return
+            self._pending_timer = self.sim.call_after(command, self._resume)
+        elif kind is Delay:
             self._pending_timer = self.sim.call_after(
-                command.duration, lambda: self._step(None))
+                command.duration, self._resume)
+        elif command is None:
+            self._pending_timer = self.sim.call_now(self._resume)
         elif hasattr(command, "_add_waiter"):
-            command._add_waiter(self._step)
+            command._add_waiter(self._resume)
         else:
             err = SimulationError(
                 f"process {self.name!r} yielded unsupported {command!r}")
@@ -183,13 +212,15 @@ class Process:
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
-        self._done_latch.fire(result)
+        if self._done_latch is not None:
+            self._done_latch.fire(result)
 
     def _fail(self, err: BaseException) -> None:
         self.done = True
         self.failed = True
         self.error = err
-        self._done_latch.fire(None)
+        if self._done_latch is not None:
+            self._done_latch.fire(None)
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"

@@ -4,12 +4,20 @@
 priority) wait queue -- the TURBOchannel bus, a DMA engine, or a CPU are
 all capacity-1 resources.  :class:`Store` is a producer/consumer channel
 used for cell pipes and inter-process queues.
+
+An uncontended acquire -- a free unit and nobody queued -- is granted
+inline by :meth:`Resource.try_acquire`: no request or grant object and
+no wake-up hop.  A contended one queues a request as before.  Both go
+through the same bookkeeping (``_acquire`` / :meth:`Resource.release`),
+and neither schedules an event, so the fast path is invisible to the
+event schedule.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from .core import SimulationError, Simulator
@@ -30,7 +38,7 @@ class Grant:
         if self.released:
             raise SimulationError("double release of resource grant")
         self.released = True
-        self.resource._on_release(self)
+        self.resource.release()
 
 
 class _Request:
@@ -88,17 +96,31 @@ class Resource:
         """
         return _Request(self, priority, next(self._seq))
 
+    def try_acquire(self) -> bool:
+        """Take a unit now if one is free and nobody is queued.
+
+        On success the caller holds the unit and must :meth:`release`
+        it; on failure it should ``yield`` a :meth:`request` instead.
+        """
+        if self._in_use < self.capacity and not self._waiting:
+            self._acquire()
+            return True
+        return False
+
     def use(self, duration: float,
             priority: float = 0.0) -> Generator[Any, Any, None]:
         """Subroutine: acquire, hold ``duration`` microseconds, release.
 
         Use as ``yield from resource.use(t)`` inside a process.
         """
-        grant = yield self.request(priority)
+        if not self.try_acquire():
+            yield self.request(priority)
         try:
-            yield Delay(duration)
+            # A bare float is the allocation-free delay; Delay keeps
+            # integral durations valid.
+            yield duration if type(duration) is float else Delay(duration)
         finally:
-            grant.release()
+            self.release()
 
     def _enqueue(self, request: _Request) -> None:
         if self._in_use < self.capacity:
@@ -107,18 +129,21 @@ class Resource:
             heapq.heappush(self._waiting, request)
 
     def _grant(self, request: _Request) -> None:
+        self._acquire()
+        assert request._resume is not None
+        request._resume(Grant(self, self.sim._now))
+
+    def _acquire(self) -> None:
         self._in_use += 1
         self.grants += 1
         if self._busy_since is None:
-            self._busy_since = self.sim.now
-        grant = Grant(self, self.sim.now)
-        assert request._resume is not None
-        request._resume(grant)
+            self._busy_since = self.sim._now
 
-    def _on_release(self, grant: Grant) -> None:
+    def release(self) -> None:
+        """Return one unit and hand it to the head of the queue."""
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
+            self.busy_time += self.sim._now - self._busy_since
             self._busy_since = None
         if self._waiting and self._in_use < self.capacity:
             self._grant(heapq.heappop(self._waiting))
@@ -177,9 +202,9 @@ class Store:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._items: list[Any] = []
-        self._getters: list[_Get] = []
-        self._putters: list[_Put] = []
+        self._items: deque = deque()
+        self._getters: deque = deque()
+        self._putters: deque = deque()
         self.total_put = 0
 
     def __len__(self) -> int:
@@ -206,14 +231,14 @@ class Store:
         """Non-blocking get; returns (ok, item)."""
         if not self._items:
             return False, None
-        item = self._items.pop(0)
+        item = self._items.popleft()
         self._admit_putter()
         return True, item
 
     def _deposit(self, item: Any) -> None:
         self.total_put += 1
         if self._getters:
-            getter = self._getters.pop(0)
+            getter = self._getters.popleft()
             assert getter._resume is not None
             getter._resume(item)
         else:
@@ -222,14 +247,14 @@ class Store:
     def _admit_putter(self) -> None:
         if self._putters and (self.capacity is None
                               or len(self._items) < self.capacity):
-            putter = self._putters.pop(0)
+            putter = self._putters.popleft()
             self._deposit(putter.item)
             assert putter._resume is not None
             putter._resume(None)
 
     def _enqueue_get(self, getter: _Get) -> None:
         if self._items:
-            item = self._items.pop(0)
+            item = self._items.popleft()
             assert getter._resume is not None
             getter._resume(item)
             self._admit_putter()

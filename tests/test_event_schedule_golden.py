@@ -1,0 +1,46 @@
+"""Event-schedule golden: two paper points pinned to the exact event.
+
+The kernel may get faster, but it must not reorder same-time ties or
+add, drop or move events: that would shift every report.  These two
+points -- one Table 1 entry and one Figure 2 entry -- pin both the
+number of heap events the run executes and the measured value to the
+last bit, so a kernel change that alters the schedule fails here, by
+name, before it reaches the paper comparison.
+"""
+
+import pytest
+
+from repro.bench.harness import (
+    measure_receive_throughput, measure_round_trip,
+)
+from repro.hw import DS5000_200
+from repro.hw.dma import DmaMode
+from repro.sim import Simulator
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    """Every Simulator built inside the test, for its event counts."""
+    built = []
+    init = Simulator.__init__
+
+    def capturing(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", capturing)
+    return built
+
+
+def test_table1_ds5000_atm_1_byte_schedule(simulators):
+    latency = measure_round_trip(DS5000_200, 1, protocol="atm", rounds=5)
+    assert [sim.events_processed for sim in simulators] == [859]
+    assert latency == 369.1806748971185
+
+
+def test_figure2_double_cell_16kb_schedule(simulators):
+    result = measure_receive_throughput(DS5000_200, 16 * 1024,
+                                        dma_mode=DmaMode.DOUBLE_CELL)
+    assert [sim.events_processed for sim in simulators] == [81545]
+    assert (result.combined_dmas, result.single_dmas) == (12144, 396)
+    assert result.mbps == 386.61973380595657

@@ -5,6 +5,8 @@ every cross-shard message is stamped one lookahead after the emitting
 event.  It runs identically under all three backends.
 """
 
+import time
+
 import pytest
 
 from repro.cluster.boundary import BoundaryCodec
@@ -89,13 +91,26 @@ def test_idle_peers_do_not_throttle_a_lone_busy_shard():
     assert run.windows <= hops // 2 + 2
 
 
-def test_worker_exception_surfaces_with_shard_index():
-    class Boom(RingRelay):
-        def _hop(self, k):
-            raise RuntimeError("kaboom at hop")
+class Boom(RingRelay):
+    def _hop(self, k):
+        raise RuntimeError("kaboom at hop")
 
+
+def _assert_failure_surfaces_promptly(backend):
+    # The surviving shard is told to stop, so teardown does not wait
+    # out the channel's join timeout (10 s) before the error surfaces.
+    start = time.monotonic()
     with pytest.raises(SimulationError, match=r"(?s)shard 0.*kaboom"):
-        run_shards(lambda i: Boom(i, 2, 4), 2, W, backend="thread")
+        run_shards(lambda i: Boom(i, 2, 4), 2, W, backend=backend)
+    assert time.monotonic() - start < 3.0
+
+
+def test_worker_exception_surfaces_with_shard_index():
+    _assert_failure_surfaces_promptly("thread")
+
+
+def test_worker_exception_surfaces_with_shard_index_proc():
+    _assert_failure_surfaces_promptly("proc")
 
 
 def test_engine_rejects_bad_parameters():

@@ -243,3 +243,102 @@ def test_subgenerator_delegation_with_yield_from():
     spawn(sim, outer())
     sim.run()
     assert seen == [(2.0, "inner-value")]
+
+
+# ------------------------------------------------ kernel command contract
+
+
+def _timeline(pause):
+    """Two interleaved sleepers; ``pause(d)`` builds each yield."""
+    sim = Simulator()
+    seen = []
+
+    def sleeper(tag, steps):
+        for step in steps:
+            yield pause(step)
+            seen.append((tag, sim.now))
+
+    spawn(sim, sleeper("a", (1.5, 0.0, 2.0)))
+    spawn(sim, sleeper("b", (1.5, 1.0, 0.5)))
+    sim.run()
+    return seen, sim.events_processed
+
+
+def test_bare_float_delay_matches_delay_schedule():
+    by_object = _timeline(Delay)
+    assert by_object == _timeline(float)
+    seen, events = by_object
+    assert seen == [("a", 1.5), ("b", 1.5), ("a", 1.5), ("b", 2.5),
+                    ("b", 3.0), ("a", 3.5)]
+    assert events == 8          # two starts, six timed resumes
+
+
+def test_bare_negative_float_raises_at_the_yield():
+    sim = Simulator()
+    caught = []
+
+    def recovering():
+        try:
+            yield -1.0
+        except SimulationError as exc:
+            caught.append((sim.now, str(exc)))
+        yield 2.0
+        return "recovered"
+
+    def failing():
+        yield -0.5
+
+    ok = spawn(sim, recovering())
+    bad = spawn(sim, failing())
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.run()
+    assert caught == [(0.0, "negative delay -1.0")]
+    assert bad.failed and isinstance(bad.error, SimulationError)
+    sim.run()
+    assert ok.result == "recovered" and sim.now == 2.0
+
+
+def test_negative_delay_object_still_raises():
+    with pytest.raises(SimulationError):
+        Delay(-1.0)
+
+
+def test_join_before_and_after_finish_both_get_result():
+    sim = Simulator()
+    joins = []
+
+    def worker():
+        yield 1.0
+        return "payload"
+
+    def joiner(tag, wait):
+        yield wait
+        value = yield target
+        joins.append((tag, sim.now, value))
+
+    target = spawn(sim, worker())
+    spawn(sim, joiner("early", 0.5))
+    spawn(sim, joiner("late", 10.0))
+    sim.run()
+    # The late joiner resumes at once, without waiting for an event.
+    assert joins == [("early", 1.0, "payload"), ("late", 10.0, "payload")]
+
+
+def test_join_failed_process_returns_none():
+    sim = Simulator()
+
+    def broken():
+        yield 1.0
+        raise ValueError("model bug")
+
+    p = spawn(sim, broken())
+    with pytest.raises(ValueError):
+        sim.run()
+    joined = []
+
+    def joiner():
+        joined.append((yield p))
+
+    spawn(sim, joiner())
+    sim.run()
+    assert joined == [None]

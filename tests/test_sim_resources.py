@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Delay, Resource, SimulationError, Simulator, Store, spawn
+from repro.sim import (
+    Delay, Interrupted, Resource, SimulationError, Simulator, Store, spawn,
+)
 
 
 def test_resource_serializes_capacity_one():
@@ -192,3 +194,109 @@ def test_multiple_getters_fifo():
     spawn(sim, producer())
     sim.run()
     assert got == [("first", "x"), ("second", "y")]
+
+
+def test_bounded_store_interleaves_puts_gets_and_blocked_putters():
+    sim = Simulator()
+    store = Store(sim, "fifo", capacity=2)
+    got = []
+
+    def early_getter():
+        item = yield store.get()
+        got.append(("g", item, sim.now))
+
+    def producer(items):
+        for item in items:
+            yield store.put(item)
+
+    def consumer():
+        yield Delay(5.0)
+        for _ in range(5):
+            item = yield store.get()
+            got.append(("c", item, sim.now))
+            yield Delay(1.0)
+
+    spawn(sim, early_getter())
+    spawn(sim, producer(["a1", "a2", "a3", "a4"]))
+    spawn(sim, producer(["b1", "b2"]))
+    spawn(sim, consumer())
+    sim.run()
+    # a1 goes straight to the waiting getter; a4 and then b1 block on
+    # the full store and are admitted in the order they blocked.
+    assert got == [("g", "a1", 0.0), ("c", "a2", 5.0), ("c", "a3", 6.0),
+                   ("c", "a4", 7.0), ("c", "b1", 8.0), ("c", "b2", 9.0)]
+    assert store.total_put == 6 and len(store) == 0
+
+
+def _mixed_contention(acquire):
+    """An uncontended grant, a contended burst, then another lone one."""
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+    log = []
+
+    def user(tag, start, hold):
+        yield Delay(start)
+        yield from acquire(bus, hold)
+        log.append((tag, sim.now))
+
+    for tag, start, hold in (("a", 0.0, 4.0), ("b", 10.0, 3.0),
+                             ("c", 10.0, 2.0), ("d", 11.0, 1.0),
+                             ("e", 30.0, 5.0)):
+        spawn(sim, user(tag, start, hold))
+    sim.run()
+    return (log, bus.grants, bus.busy_time, bus.utilization(),
+            sim.events_processed)
+
+
+def test_fast_and_queued_grants_keep_the_same_books():
+    def via_use(bus, hold):                 # inline grant when free
+        yield from bus.use(hold)
+
+    def via_request(bus, hold):             # request + Grant objects
+        grant = yield bus.request()
+        try:
+            yield Delay(hold)
+        finally:
+            grant.release()
+
+    fast = _mixed_contention(via_use)
+    assert fast == _mixed_contention(via_request)
+    log, grants, busy, utilization, _events = fast
+    assert log == [("a", 4.0), ("b", 13.0), ("c", 15.0), ("d", 16.0),
+                   ("e", 35.0)]
+    assert grants == 5
+    assert busy == pytest.approx(15.0)
+    assert utilization == pytest.approx(15.0 / 35.0)
+
+
+def test_interrupted_holder_releases_to_next_waiter_at_once():
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+    log = []
+
+    def holder():
+        try:
+            yield from bus.use(10.0)
+        except Interrupted:
+            log.append(("holder interrupted", sim.now))
+
+    def waiter():
+        yield Delay(1.0)
+        grant = yield bus.request()
+        log.append(("waiter granted", sim.now))
+        yield Delay(3.0)
+        grant.release()
+
+    h = spawn(sim, holder())
+    spawn(sim, waiter())
+
+    def preempt():
+        yield Delay(4.0)
+        h.interrupt("preempt")
+
+    spawn(sim, preempt())
+    sim.run()
+    assert log == [("waiter granted", 4.0), ("holder interrupted", 4.0)]
+    assert bus.in_use == 0 and bus.grants == 2
+    assert bus.busy_time == pytest.approx(7.0)
+    assert sim.now == 7.0
