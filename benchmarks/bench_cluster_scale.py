@@ -12,24 +12,21 @@ run at the same host count.  ``cpu_count`` is recorded alongside the
 numbers: with fewer cores than shards the proc backend cannot beat
 the serial run, and the honest expectation is overhead, not speedup.
 The sync cost scales with the number of windows: with adaptive
-coalescing (the default) shards that provably cannot emit boundary
-messages stop bounding their peers' horizons, so the pairs sweep --
-whose min-cut sharding colocates every flow -- collapses to a single
-window.  Every sharded point is also measured with
-``coalesce=False, transport="pickle"`` so the classic fixed-window /
-per-batch-pickle cost stays on record as the baseline.
+window coalescing, shards that provably cannot emit boundary messages
+stop bounding their peers' horizons, so the pairs sweep -- whose
+min-cut sharding colocates every flow -- collapses to a single
+window.
 
 Each timed point runs ``--repeats`` times (default 3) with the GC
 collected and frozen around the timed region; the row reports the
 minimum wall and asserts the report bytes are identical across
 repeats.  Sharded rows carry the barrier accounting counters --
-``windows``, ``boundary_msgs``, ``boundary_bytes`` -- plus the
-``coalesce``/``transport`` mode that produced them.
+``windows``, ``boundary_msgs``, ``boundary_bytes``.
 
-The ``boundary_transport`` section measures the struct codec against
-batched pickle on workloads whose min-cut sharding *does* cross
-shards (all2all, incast), recording the encoded bytes per transport
-and the ratio.  Both transports must produce byte-identical reports.
+The ``boundary_transport`` section records the boundary codec's
+encoded bytes, and bytes per model event, on workloads whose min-cut
+sharding *does* cross shards (all2all, incast).  Each sharded report
+there must equal the plain run's byte for byte.
 
 Event accounting
 ----------------
@@ -67,6 +64,7 @@ from repro.cluster import (                                # noqa: E402
     Fabric, WorkloadSpec, collect, run_workload,
 )
 from repro.cluster.sharded import run_cluster_sharded      # noqa: E402
+from repro.sim.parallel import BACKENDS                    # noqa: E402
 from repro.hw.specs import (                               # noqa: E402
     AAL_PAYLOAD_BYTES, DS5000_200, STRIPE_LINKS,
 )
@@ -185,8 +183,7 @@ def _one_plain(args, n_hosts: int, trains: bool) -> tuple:
                   "absorbed": fabric.sim.events_absorbed}
 
 
-def _one_sharded(args, n_hosts: int, n_shards: int, coalesce: bool,
-                 transport: str) -> tuple:
+def _one_sharded(args, n_hosts: int, n_shards: int) -> tuple:
     """One timed sharded run under a frozen GC."""
     gc.collect()
     gc.disable()
@@ -194,8 +191,7 @@ def _one_sharded(args, n_hosts: int, n_shards: int, coalesce: bool,
         start = time.perf_counter()
         report, run = run_cluster_sharded(
             _fabric_kwargs(args, n_hosts, True), _spec(args),
-            n_shards, backend=args.backend, coalesce=coalesce,
-            transport=transport)
+            n_shards, backend=args.backend)
         wall = time.perf_counter() - start
     finally:
         gc.enable()
@@ -212,8 +208,7 @@ def _timed_points(args, n_hosts: int) -> dict:
     jobs = [("plain", True), ("plain", False)]
     for n_shards in args.shards:
         if n_shards <= n_hosts:
-            jobs.append(("shard", n_shards, True, "struct"))
-            jobs.append(("shard", n_shards, False, "pickle"))
+            jobs.append(("shard", n_shards))
     results: dict = {}
     for _ in range(args.repeats):
         for job in jobs:
@@ -235,9 +230,9 @@ def _timed_points(args, n_hosts: int) -> dict:
 
 
 # Workloads whose min-cut sharding crosses shards, so boundary
-# messages actually flow: this is where the struct codec is measured
-# against batched pickle.  Backends don't change the encoded bytes,
-# so the cheap inline backend keeps this section fast.
+# messages actually flow: this is where the codec's bytes are
+# measured.  Backends don't change the encoded bytes, so the cheap
+# inline backend keeps this section fast.
 _TRANSPORT_CONFIGS = [
     {"name": "all2all-credit",
      "fabric": {"backpressure": "credit", "credit_window_cells": 64,
@@ -251,9 +246,9 @@ _TRANSPORT_CONFIGS = [
 
 
 def run_transport_comparison(args) -> list[dict]:
-    """Struct codec vs batched pickle on cross-shard workloads:
-    encoded boundary bytes per transport, the ratio, and bytes per
-    model event.  Reports must stay byte-identical."""
+    """Boundary codec bytes on cross-shard workloads: encoded bytes
+    and bytes per model event.  Each sharded report must equal the
+    plain run's."""
     rows = []
     for cfg in _TRANSPORT_CONFIGS:
         fabric_kwargs = {"machines": DS5000_200, "n_hosts": 8,
@@ -263,41 +258,28 @@ def run_transport_comparison(args) -> list[dict]:
         spec = WorkloadSpec(
             pattern=cfg.get("pattern", "all2all"), kind="open",
             seed=args.seed, message_bytes=2048, messages_per_client=2)
-        runs = {}
-        for transport in ("struct", "pickle"):
-            report, run = run_cluster_sharded(
-                fabric_kwargs, spec, 2, backend="inline",
-                transport=transport)
-            runs[transport] = {"json": report.to_json(), "run": run}
-        if runs["struct"]["json"] != runs["pickle"]["json"]:
+        report, run = run_cluster_sharded(
+            fabric_kwargs, spec, 2, backend="inline")
+        fabric = Fabric(**fabric_kwargs)
+        plain = collect(fabric, run_workload(fabric, spec,
+                                             max_events=EVENT_BUDGET))
+        if report.to_json() != plain.to_json():
             raise SystemExit(
-                f"{cfg['name']}: struct transport report diverged "
-                f"from pickle -- the codec is lossy, numbers are "
+                f"{cfg['name']}: sharded report diverged from the "
+                f"plain run -- the codec is lossy, numbers are "
                 f"meaningless")
-        struct_run = runs["struct"]["run"]
-        pickle_run = runs["pickle"]["run"]
-        model = (struct_run.events_processed
-                 + struct_run.events_absorbed)
-        ratio = (round(pickle_run.boundary_bytes
-                       / struct_run.boundary_bytes, 2)
-                 if struct_run.boundary_bytes else None)
+        model = run.events_processed + run.events_absorbed
         rows.append({
             "workload": cfg["name"], "hosts": 8, "shards": 2,
-            "boundary_msgs": struct_run.boundary_msgs,
-            "struct_bytes": struct_run.boundary_bytes,
-            "pickle_bytes": pickle_run.boundary_bytes,
-            "bytes_ratio": ratio,
+            "boundary_msgs": run.boundary_msgs,
+            "struct_bytes": run.boundary_bytes,
             "model_events": model,
             "struct_bytes_per_model_event": round(
-                struct_run.boundary_bytes / model, 4),
-            "pickle_bytes_per_model_event": round(
-                pickle_run.boundary_bytes / model, 4),
+                run.boundary_bytes / model, 4),
         })
         print(f"transport {cfg['name']:<18} "
-              f"{struct_run.boundary_msgs:>6d} msgs  struct "
-              f"{struct_run.boundary_bytes:>8d} B  pickle "
-              f"{pickle_run.boundary_bytes:>8d} B  "
-              f"ratio {ratio}x")
+              f"{run.boundary_msgs:>6d} msgs  struct "
+              f"{run.boundary_bytes:>8d} B")
     return rows
 
 
@@ -343,53 +325,48 @@ def run_sweep(args) -> dict:
         for n_shards in args.shards:
             if n_shards > n_hosts:
                 continue
-            for coalesce, transport in ((True, "struct"),
-                                        (False, "pickle")):
-                point = timed[("shard", n_shards, coalesce, transport)]
-                wall, run = point["wall"], point["run"]
-                identical = point["json"] == plain_json
-                model = run.events_processed + run.events_absorbed
-                points.append({
-                    "workload": "pairs", "hosts": n_hosts,
-                    "shards": n_shards, "train": True,
-                    "requested_backend": args.backend,
-                    "measured_backend": args.backend,
-                    "coalesce": coalesce, "transport": transport,
-                    "repeats": args.repeats,
-                    "wall_s": round(wall, 4),
-                    "events_processed": run.events_processed,
-                    "events_absorbed": run.events_absorbed,
-                    "model_events": model,
-                    "events_per_s": round(model / wall),
-                    "windows": run.windows,
-                    "boundary_msgs": run.boundary_msgs,
-                    "boundary_bytes": run.boundary_bytes,
-                    # On a 1-CPU box the shards time-slice one core;
-                    # a "speedup" there would be measurement noise
-                    # dressed up as a claim, so it is withheld.
-                    "speedup_vs_plain": (
-                        None if single_cpu
-                        else round(plain_wall / wall, 3)),
-                    "identical_to_plain": identical,
-                })
-                speedup = ("speedup n/a (1 cpu)" if single_cpu
-                           else f"speedup {plain_wall / wall:4.2f}x")
-                mode = ("coalesce" if coalesce else "fixed   ")
-                print(f"hosts={n_hosts:<3d} {args.backend} "
-                      f"K={n_shards} {mode}  {wall:6.2f}s  "
-                      f"{model:>8d} model events  "
-                      f"{run.windows:>6d} windows  {speedup}"
-                      f"{'' if identical else '  REPORT MISMATCH'}")
-                if not identical:
-                    raise SystemExit(
-                        "sharded report diverged from the plain run "
-                        "-- determinism is broken, numbers are "
-                        "meaningless")
-                if model != plain[True]["model"]:
-                    raise SystemExit(
-                        f"sharded model-event total {model} != plain "
-                        f"{plain[True]['model']} -- the accounting is "
-                        f"broken, events/s is not comparable")
+            point = timed[("shard", n_shards)]
+            wall, run = point["wall"], point["run"]
+            identical = point["json"] == plain_json
+            model = run.events_processed + run.events_absorbed
+            points.append({
+                "workload": "pairs", "hosts": n_hosts,
+                "shards": n_shards, "train": True,
+                "requested_backend": args.backend,
+                "measured_backend": args.backend,
+                "repeats": args.repeats,
+                "wall_s": round(wall, 4),
+                "events_processed": run.events_processed,
+                "events_absorbed": run.events_absorbed,
+                "model_events": model,
+                "events_per_s": round(model / wall),
+                "windows": run.windows,
+                "boundary_msgs": run.boundary_msgs,
+                "boundary_bytes": run.boundary_bytes,
+                # On a 1-CPU box the shards time-slice one core; a
+                # "speedup" there would be measurement noise dressed
+                # up as a claim, so it is withheld.
+                "speedup_vs_plain": (
+                    None if single_cpu
+                    else round(plain_wall / wall, 3)),
+                "identical_to_plain": identical,
+            })
+            speedup = ("speedup n/a (1 cpu)" if single_cpu
+                       else f"speedup {plain_wall / wall:4.2f}x")
+            print(f"hosts={n_hosts:<3d} {args.backend} "
+                  f"K={n_shards}  {wall:6.2f}s  "
+                  f"{model:>8d} model events  "
+                  f"{run.windows:>6d} windows  {speedup}"
+                  f"{'' if identical else '  REPORT MISMATCH'}")
+            if not identical:
+                raise SystemExit(
+                    "sharded report diverged from the plain run -- "
+                    "determinism is broken, numbers are meaningless")
+            if model != plain[True]["model"]:
+                raise SystemExit(
+                    f"sharded model-event total {model} != plain "
+                    f"{plain[True]['model']} -- the accounting is "
+                    f"broken, events/s is not comparable")
 
     transport_rows = run_transport_comparison(args)
 
@@ -445,7 +422,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=lambda s: [int(x) for x in
                         s.split(",")], default=[2, 4])
     parser.add_argument("--backend", default="proc",
-                        choices=("proc", "thread", "inline"))
+                        choices=BACKENDS)
     parser.add_argument("--messages", type=int, default=8)
     parser.add_argument("--size", type=int, default=8192)
     parser.add_argument("--burst-pdus", type=int, default=64,

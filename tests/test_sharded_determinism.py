@@ -19,6 +19,7 @@ from repro.cluster import Fabric, WorkloadSpec, collect, run_workload
 from repro.cluster.sharded import ShardFabric, run_cluster_sharded
 from repro.hw.specs import DS5000_200
 from repro.sim import SimulationError
+from repro.sim.parallel import BACKENDS
 
 
 def _kwargs(backpressure, n_hosts=4, n_switches=1, **extra):
@@ -46,7 +47,7 @@ def _baseline_json(backpressure, pattern, kind="open",
     return _BASELINES[cache_key]
 
 
-@pytest.mark.parametrize("backend", ("proc", "thread"))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n_shards", (2, 4))
 @pytest.mark.parametrize("pattern", ("incast", "pairs", "all2all"))
 @pytest.mark.parametrize("backpressure", ("credit", "efci"))
@@ -64,55 +65,29 @@ def test_inline_backend_identical_without_backpressure():
     assert report.to_json() == _baseline_json("none", "incast")
 
 
-# -- coalescing / transport axis ----------------------------------------------
+# -- window schedule and boundary traffic ------------------------------------
 #
-# The window schedule and the wire encoding must both be invisible:
-# any (coalesce, transport) combination yields the same bytes as the
-# plain run.  all2all crosses every min-cut, so the struct transport
-# actually carries cells here; pairs colocates every flow, so the
-# coalesced run collapses to a single window.
-
-@pytest.mark.parametrize("transport", ("struct", "pickle"))
-@pytest.mark.parametrize("coalesce", (True, False))
-def test_coalesce_transport_matrix_byte_identical(coalesce, transport):
-    report, _run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="thread",
-        coalesce=coalesce, transport=transport)
-    assert report.to_json() == _baseline_json("credit", "all2all")
-
+# pairs colocates every flow, so the adaptively coalesced run
+# collapses to a single window; all2all crosses every min-cut, so the
+# boundary codec actually carries cells.
 
 def test_colocated_flows_coalesce_to_one_window():
-    runs = {}
-    for coalesce in (True, False):
-        report, run = run_cluster_sharded(
-            _kwargs("credit"), _spec("pairs"), 2, backend="inline",
-            coalesce=coalesce)
-        assert report.to_json() == _baseline_json("credit", "pairs")
-        runs[coalesce] = run
+    report, run = run_cluster_sharded(
+        _kwargs("credit"), _spec("pairs"), 2, backend="inline")
+    assert report.to_json() == _baseline_json("credit", "pairs")
     # Min-cut sharding keeps every pairs flow on one shard: no shard
     # can ever emit a boundary message, so the whole run is a single
     # unbounded window instead of one barrier per lookahead.
-    assert runs[True].windows == 1
-    assert runs[True].boundary_msgs == 0
-    assert runs[True].boundary_bytes == 0
-    assert runs[False].windows > 10 * runs[True].windows
+    assert run.windows == 1
+    assert run.boundary_msgs == 0
+    assert run.boundary_bytes == 0
 
 
 def test_crossing_flows_report_boundary_traffic():
-    _report, struct_run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="inline",
-        transport="struct")
-    _report, pickle_run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="inline",
-        transport="pickle")
-    assert struct_run.boundary_msgs == pickle_run.boundary_msgs > 0
-    assert 0 < struct_run.boundary_bytes < pickle_run.boundary_bytes
-
-
-def test_transport_rejects_unknown_name():
-    with pytest.raises(SimulationError, match="transport"):
-        run_cluster_sharded(_kwargs("none"), _spec("pairs"), 2,
-                            transport="json")
+    _report, run = run_cluster_sharded(
+        _kwargs("credit"), _spec("all2all"), 2, backend="inline")
+    assert run.boundary_msgs > 0
+    assert run.boundary_bytes > 0
 
 
 def test_rpc_workload_identical_across_two_switches():
@@ -129,7 +104,7 @@ def test_merged_conservation_holds_and_fabric_is_quiescent():
     # hop has drained, so queued must be exactly zero and the identity
     # must close without slack.
     report, run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 4, backend="thread")
+        _kwargs("credit"), _spec("all2all"), 4, backend="inline")
     conservation = report.conservation
     assert conservation["holds"]
     assert conservation["queued"] == 0
@@ -172,7 +147,7 @@ def _fault_kwargs(spec_name):
         _FAULT_SPECS[spec_name], seed=1), credit_regen_timeout_us=500.0)
 
 
-@pytest.mark.parametrize("backend", ("proc", "thread"))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("faultspec", sorted(_FAULT_SPECS))
 def test_sharded_identical_under_faults(faultspec, backend):
     if faultspec not in _FAULT_BASELINES:

@@ -2,7 +2,10 @@
 
 The ring relay below is the smallest model with the fabric's shape:
 every cross-shard message is stamped one lookahead after the emitting
-event.  It runs identically under all three backends.
+event.  It runs identically under both backends.  Every toy program
+carries a :class:`BoundaryCodec`, the engine's only transport; their
+tuple keys and messages have no fixed record, so each boundary
+message rides an escape record.
 """
 
 import time
@@ -21,6 +24,7 @@ class RingRelay:
 
     def __init__(self, index: int, n_shards: int, hops: int):
         self.sim = Simulator()
+        self.codec = BoundaryCodec()
         self.index = index
         self.n_shards = n_shards
         self.hops = hops
@@ -70,6 +74,13 @@ def test_ring_relay_all_backends(backend):
     # advance_to(t_end) ran everywhere: idle shards read the global
     # end time, which is what makes merged snapshots consistent.
     assert all(p["now"] == run.t_end for p in run.partials)
+    # Every shard can always emit, so adaptive coalescing reduces
+    # exactly to the fixed schedule: one barrier per hop.
+    assert run.windows == 12
+    # 11 of the 12 hops cross a shard boundary, and the codec reports
+    # the bytes it actually shipped.
+    assert run.boundary_msgs == 11
+    assert run.boundary_bytes > 0
 
 
 def test_single_shard_runs_to_completion():
@@ -106,11 +117,24 @@ def _assert_failure_surfaces_promptly(backend):
 
 
 def test_worker_exception_surfaces_with_shard_index():
-    _assert_failure_surfaces_promptly("thread")
+    _assert_failure_surfaces_promptly("inline")
 
 
 def test_worker_exception_surfaces_with_shard_index_proc():
     _assert_failure_surfaces_promptly("proc")
+
+
+def _fail_to_build(index):
+    if index == 1:
+        raise RuntimeError("kaboom in factory")
+    return _ring(index)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_factory_exception_surfaces_with_shard_index(backend):
+    with pytest.raises(SimulationError,
+                       match=r"(?s)shard 1 failed.*kaboom in factory"):
+        run_shards(_fail_to_build, 3, W, backend=backend)
 
 
 def test_engine_rejects_bad_parameters():
@@ -131,6 +155,7 @@ class SelfLooper:
 
     def __init__(self, index: int, events: int = 20):
         self.sim = Simulator()
+        self.codec = BoundaryCodec()
         self.index = index
         self.log = []
         self._remaining = events
@@ -159,31 +184,24 @@ class SelfLooper:
 
 
 def test_non_capable_shards_coalesce_to_one_window():
-    runs = {}
-    for coalesce in (True, False):
-        runs[coalesce] = run_shards(lambda i: SelfLooper(i), 2, W,
-                                    backend="inline", coalesce=coalesce)
-    # Ten lookaheads of local work: the fixed schedule pays a barrier
-    # per W, the coalesced one drains everything in a single window.
-    assert runs[True].windows == 1
-    assert runs[False].windows > 3
-    assert runs[True].boundary_msgs == 0
-    assert [p["log"] for p in runs[True].partials] \
-        == [p["log"] for p in runs[False].partials]
+    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline")
+    # Ten lookaheads of local work, drained in a single window where
+    # a fixed schedule would pay a barrier per W.
+    assert run.windows == 1
+    assert run.boundary_msgs == 0
+    assert [p["log"] for p in run.partials] \
+        == [[1.0 + 0.5 * k for k in range(20)]] * 2
 
 
 def test_window_probe_fires_per_coalesced_window():
-    for coalesce, expected in ((True, 1), (False, None)):
-        probes = []
-        run = run_shards(lambda i: SelfLooper(i), 2, W,
-                         backend="inline", coalesce=coalesce,
-                         window_probe=lambda w, counters:
-                         probes.append((w, counters)))
-        assert len(probes) == run.windows
-        if expected is not None:
-            assert len(probes) == expected
-        # The final probe is a true quiescence snapshot either way.
-        assert all(c["done"] == 20 for c in probes[-1][1])
+    probes = []
+    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline",
+                     window_probe=lambda w, counters:
+                     probes.append((w, counters)))
+    assert run.windows == len(probes) == 1
+    # The one probe is a true quiescence snapshot.
+    assert probes[0] == (1, [{"index": 0, "done": 20},
+                             {"index": 1, "done": 20}])
 
 
 class Sender:
@@ -191,6 +209,7 @@ class Sender:
 
     def __init__(self, n_msgs: int):
         self.sim = Simulator()
+        self.codec = BoundaryCodec()
         self._outbox = []
         for k in range(n_msgs):
             self.sim.call_at(1.0 + W * k, lambda k=k: self._emit(k))
@@ -215,14 +234,15 @@ class Sink:
 
     def __init__(self):
         self.sim = Simulator()
+        self.codec = BoundaryCodec()
         self.received = []
-        self.deliver_calls = 0
+        self.deliver_times = []
 
     def may_emit(self) -> bool:
         return False
 
     def deliver(self, batch):
-        self.deliver_calls += 1
+        self.deliver_times.append(self.sim.now)
         for when, key, msg in batch:
             self.sim.call_at(
                 when,
@@ -234,50 +254,35 @@ class Sink:
 
     def collect(self, t_end):
         return {"received": self.received,
-                "deliver_calls": self.deliver_calls}
+                "deliver_times": self.deliver_times}
 
 
 def test_deliver_only_sink_batches_into_one_window():
     n_msgs = 6
-    runs = {}
-    for coalesce in (True, False):
-        runs[coalesce] = run_shards(
-            lambda i: Sender(n_msgs) if i == 0 else Sink(), 2, W,
-            backend="inline", coalesce=coalesce)
+    run = run_shards(lambda i: Sender(n_msgs) if i == 0 else Sink(),
+                     2, W, backend="inline")
     want = [(1.0 + W * (k + 1), ("m", k)) for k in range(n_msgs)]
-    for run in runs.values():
-        assert run.partials[1]["received"] == want
-        assert run.boundary_msgs == n_msgs
-    # Deferred deliver-only commands coalesce into a single flush;
-    # the fixed schedule wakes the sink repeatedly.
-    assert runs[True].partials[1]["deliver_calls"] == 1
-    assert runs[False].partials[1]["deliver_calls"] > 1
+    assert run.partials[1]["received"] == want
+    assert run.boundary_msgs == n_msgs
+    # Deferred deliver-only commands coalesce into a single flush:
+    # the sender's three encoded batches all reach the sink before it
+    # runs anything, instead of waking it once per batch.
+    assert run.partials[1]["deliver_times"] == [0.0, 0.0, 0.0]
+    assert run.windows == 4
 
 
 # ---------------------------------------------------------------- codec
 
 
-class CodecRing(RingRelay):
-    """RingRelay over the struct transport.  ``("hop", k)`` keys and
-    messages have no fixed record, so every boundary message rides an
-    escape record -- the transport must be transparent even then."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.codec = BoundaryCodec()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_codec_transport_is_transparent(backend):
-    plain = run_shards(lambda i: _ring(i), 3, W, backend="inline")
-    coded = run_shards(lambda i: CodecRing(i, 3, 12), 3, W,
-                       backend=backend)
-    assert [p["log"] for p in coded.partials] \
-        == [p["log"] for p in plain.partials]
-    assert coded.t_end == plain.t_end
-    # 11 of the 12 hops cross a shard boundary; both transports must
-    # agree on the message count, and the codec must report the bytes
-    # it actually shipped.
-    assert coded.boundary_msgs == plain.boundary_msgs == 11
-    assert coded.boundary_bytes > 0
-    assert plain.boundary_bytes > 0
+    # proc stages encoded batches in shared memory, inline hands them
+    # over by reference: both must ship the same records and replay
+    # the same hops.
+    ref = run_shards(lambda i: _ring(i), 3, W, backend="inline")
+    run = run_shards(lambda i: _ring(i), 3, W, backend=backend)
+    assert [p["log"] for p in run.partials] \
+        == [p["log"] for p in ref.partials]
+    assert run.t_end == ref.t_end
+    assert (run.boundary_msgs, run.boundary_bytes) \
+        == (ref.boundary_msgs, ref.boundary_bytes)
