@@ -30,7 +30,7 @@ Congestion control (``backpressure``):
   behaviour; incast collapse is emergent).
 * ``"credit"`` -- ports never drop for occupancy; admission is bounded
   upstream by receiver-driven per-VCI credit windows (see
-  :mod:`repro.cluster.backpressure`), and the drain loop returns a
+  :mod:`repro.cluster.backpressure`), and the port's drain returns a
   credit to the registered hook every time it forwards a cell.
 * ``"efci"`` -- the cheap alternative: cells enqueued on a port whose
   occupancy is at or above ``efci_threshold_cells`` get the explicit
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.specs import ATM_CELL_BYTES, STRIPE_LINKS
-from ..sim import Delay, Signal, SimulationError, Simulator, spawn
+from ..sim import Delay, SimulationError, Simulator, spawn
 from ..sim.trains import CellTrain
 from ..topology.queues import ActiveQueueIndex, VirtualOccupancy
 from .cell import Cell
@@ -80,7 +80,11 @@ class _OutputPort:
     def __init__(self, sim: Simulator, name: str, drain_policy: str):
         self.name = name
         self.drain_policy = drain_policy
-        self.work = Signal(f"{name}.work")
+        # The drain's serve callback while it waits for work (set by
+        # the drain, cleared and called by the next enqueue), and the
+        # cell in service between serve and depart.
+        self.wake: Optional[Callable[[], None]] = None
+        self.in_service: Optional[Cell] = None
         self.index = ActiveQueueIndex()
         self.cells_enqueued = 0
         self.cells_forwarded = 0
@@ -114,7 +118,7 @@ class _OutputPort:
     @property
     def cells_held(self) -> int:
         """Cells accepted but not yet handed to the trunk: the queues
-        plus at most one cell inside the drain loop's delay."""
+        plus at most one cell in service."""
         return (self.cells_enqueued - self.cells_forwarded
                 - self.cells_pushed_out)
 
@@ -136,7 +140,10 @@ class _OutputPort:
         counters.enqueued += 1
         if backlog + virtual_same_vci > counters.max_depth:
             counters.max_depth = backlog + virtual_same_vci
-        self.work.fire()
+        wake = self.wake
+        if wake is not None:
+            self.wake = None
+            wake()
 
     def pop_next(self) -> Optional[Cell]:
         """Next cell under the drain policy, or None when idle."""
@@ -270,8 +277,7 @@ class CellSwitch:
                                f"{self.name}.t{trunk_id}.l{lane}",
                                self.drain_policy)
             ports.append(port)
-            spawn(self.sim, self._drain(port, trunk_id),
-                  f"{self.name}-t{trunk_id}-l{lane}")
+            self._start_drain(port, trunk_id)
         self._trunks[trunk_id] = ports
         self._trunk_deliver[trunk_id] = deliver
 
@@ -541,29 +547,43 @@ class CellSwitch:
                      virtual)
         return True
 
-    def _drain(self, port: _OutputPort,
-               trunk_id: int) -> Generator[Any, Any, None]:
+    def _start_drain(self, port: _OutputPort, trunk_id: int) -> None:
+        """Run ``port``'s output service as two callbacks: ``serve``
+        starts the next cell (or waits for one) and ``depart`` hands
+        it to the trunk one service time later, then serves again.
+        The first serve is one event from now; cells admitted before
+        it stay queued."""
+        sim = self.sim
         service = self.switching_delay_us + self.cell_time_us
-        while True:
+
+        def serve() -> None:
             # A fused train commit may have claimed the port's service
             # chain into the future: real cells wait their turn behind
             # the virtually-occupying cells, exactly as they would have
             # waited behind the same cells queued for real.
-            wait = port.busy_until - self.sim.now
+            wait = port.busy_until - sim.now
             if wait > 0.0:
-                yield Delay(wait)
-                continue
+                sim.call_after(wait, serve)
+                return
             cell = port.pop_next()
             if cell is None:
-                yield port.work
-                continue
-            port.busy_until = self.sim.now + service
-            yield Delay(service)
+                port.wake = serve
+                return
+            port.busy_until = sim.now + service
+            port.in_service = cell
+            sim.call_after(service, depart)
+
+        def depart() -> None:
+            cell = port.in_service
+            port.in_service = None
             port.record_forwarded(cell.vci)
             self._trunk_deliver[trunk_id](cell)
             hook = self._forward_hooks.get((trunk_id, cell.vci))
             if hook is not None:
                 hook()
+            serve()
+
+        sim.call_now(serve)
 
     # -- background load (the cross traffic that causes cause-3 skew) --------------
 

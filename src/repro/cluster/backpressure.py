@@ -20,7 +20,8 @@ transmit processor:
   back, and the gate pauses the flow for a fixed cooldown.
 
 A :class:`CreditGate` is per host; :class:`repro.osiris.tx_processor.
-TxProcessor` calls :meth:`acquire` before every cell, and
+TxProcessor` takes a credit before every cell (:meth:`try_acquire`,
+or :meth:`acquire` when it must stall), and
 :class:`repro.cluster.fabric.Fabric` installs the refill/pause ends
 when it opens a flow.  VCIs the gate has never heard of (ADC grants,
 cross traffic) pass through untouched.
@@ -119,34 +120,45 @@ class CreditGate:
             vci=vci, window=window, credits=window,
             signal=Signal(f"{self.name}.{vci:#x}"))
 
+    def try_acquire(self, vci: int) -> bool:
+        """Let ``vci`` emit one cell now if it may without waiting: an
+        ungated or uncounted VCI, or a free credit (taken).  False
+        means the caller must ``yield from`` :meth:`acquire`, which
+        then records the stall."""
+        flow = self._flows.get(vci)
+        return flow is None or self._take(flow)
+
+    def _take(self, flow: _FlowGate) -> bool:
+        """One emission check that never waits: False while the flow
+        is paused or out of credits; otherwise True, with a credit
+        taken when the flow is counted."""
+        if self.sim.now < flow.resume_at:
+            return False
+        if flow.credits is None:
+            return True
+        if flow.credits > 0:
+            flow.credits -= 1
+            return True
+        return False
+
     def acquire(self, vci: int) -> Generator[Any, Any, None]:
         """Block until ``vci`` may emit one cell (subroutine: use as
         ``yield from gate.acquire(vci)``).  Ungated VCIs never block."""
         flow = self._flows.get(vci)
         if flow is None:
             return
-        while True:
+        while not self._take(flow):
             start = self.sim.now
-            if start < flow.resume_at:
-                flow.stalls += 1
-                self.stalls += 1
-                yield Delay(flow.resume_at - start)
-                elapsed = self.sim.now - start
-                flow.stall_time_us += elapsed
-                self.stall_time_us += elapsed
-                continue
-            if flow.credits is None:
-                return
-            if flow.credits > 0:
-                flow.credits -= 1
-                return
             flow.stalls += 1
             self.stalls += 1
-            flow.waiting = True
-            self._arm_recovery(flow)
-            yield flow.signal
-            flow.waiting = False
-            self._cancel_recovery(flow)
+            if start < flow.resume_at:
+                yield Delay(flow.resume_at - start)
+            else:
+                flow.waiting = True
+                self._arm_recovery(flow)
+                yield flow.signal
+                flow.waiting = False
+                self._cancel_recovery(flow)
             elapsed = self.sim.now - start
             flow.stall_time_us += elapsed
             self.stall_time_us += elapsed

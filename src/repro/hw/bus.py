@@ -34,8 +34,9 @@ class TurboChannel:
         self.dma_bytes_written = 0
         self.pio_words = 0
 
-    # The DMA transactions inline Resource.use: one generator level
-    # per transaction, the bus time yielded as a bare float.
+    # Bus-only transactions (the PIO baseline, bus tests) as
+    # generators that inline Resource.use.  The OSIRIS DMA engines
+    # drive the bus from repro.hw.dma.DmaTransaction instead.
 
     def dma_read(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction reading host memory (transmit direction)."""

@@ -16,15 +16,22 @@ transaction stop early at a page boundary, so a partially filled cell
 at the end of one buffer can be completed from the start of the next.
 :meth:`DmaController.max_burst` exposes exactly that rule to the
 on-board processors.
+
+A transaction is a :class:`DmaTransaction`: a chain of callbacks
+(engine grant, bus grant, bus hold, release, copy, completion) rather
+than a generator process, so the receive processor's per-cell DMA
+commands cost no process machinery.  :meth:`DmaController.read_host`
+and :meth:`~DmaController.write_host` are generator methods that start
+one transaction and wait on it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..sim import Fidelity, Resource, SimulationError, Simulator
-from .bus import TurboChannel
+from .bus import PRIO_DMA, TurboChannel
 from .cache import DataCache
 from .memory import PhysicalMemory
 from .specs import AAL_PAYLOAD_BYTES
@@ -114,43 +121,112 @@ class DmaController:
         if data is None and nbytes is None:
             raise SimulationError("write_host needs data or nbytes")
         length = len(data) if data is not None else int(nbytes)
-        self._check(length, addr)
-        self.transactions += 1
-        self.bytes_moved += length
-        engine = self.engine
-        if not engine.try_acquire():
-            yield engine.request()
-        try:
-            yield from self.tc.dma_write(length)
-        finally:
-            engine.release()
-        if self.fidelity.copy_data and data is not None:
-            if self.cache is not None:
-                self.cache.dma_write(addr, data)
-            else:
-                self.memory.write(addr, data)
+        yield DmaTransaction(self, addr, length, True, data)
 
     def read_host(self, addr: int, nbytes: int
                   ) -> Generator[Any, Any, bytes]:
         """Transmit direction: pull bytes from host memory."""
-        self._check(nbytes, addr)
-        self.transactions += 1
-        self.bytes_moved += nbytes
-        engine = self.engine
-        if not engine.try_acquire():
-            yield engine.request()
-        try:
-            yield from self.tc.dma_read(nbytes)
-        finally:
-            engine.release()
-        if self.fidelity.copy_data:
-            if self.sgmap is not None and self.sgmap.covers(addr):
+        return (yield DmaTransaction(self, addr, nbytes, False))
+
+
+class DmaTransaction:
+    """One DMA transaction, driven by callbacks from the moment it is
+    built: engine grant, bus grant, bus hold, bus release, engine
+    release, data copy, completion.
+
+    ``write`` moves ``nbytes`` into host memory (receive direction),
+    copying ``data`` when there is any; otherwise the transaction reads
+    ``nbytes`` from host memory and :attr:`result` is the bytes.
+    ``on_done`` is called with the transaction when it completes.  A
+    process joins it with ``yield transaction`` (before or after it
+    completes), which returns :attr:`result`.
+
+    The engine and the bus are granted exactly as a process's
+    ``try_acquire``/``request`` pair would grant them, each hand-off
+    synchronous, so a transaction schedules one event (its bus hold)
+    at the same point as the generator form did.  Memory and cache are
+    written at completion, after both releases, not at issue.
+    """
+
+    __slots__ = ("dma", "addr", "nbytes", "data", "write", "on_done",
+                 "done", "result", "_waiters")
+
+    def __init__(self, dma: DmaController, addr: int, nbytes: int,
+                 write: bool, data: Optional[bytes] = None,
+                 on_done: Optional[Callable[["DmaTransaction"], None]] = None):
+        dma._check(nbytes, addr)
+        dma.transactions += 1
+        dma.bytes_moved += nbytes
+        self.dma = dma
+        self.addr = addr
+        self.nbytes = nbytes
+        self.data = data
+        self.write = write
+        self.on_done = on_done
+        self.done = False
+        self.result: Optional[bytes] = None
+        self._waiters: Optional[list] = None    # built on the first join
+        engine = dma.engine
+        if engine.try_acquire():
+            self._on_engine()
+        else:
+            engine.request()._add_waiter(self._on_engine)
+
+    def _add_waiter(self, resume: Callable[[Any], None]) -> None:
+        # Duck-typed with Signal so `yield transaction` joins it.
+        if self.done:
+            resume(self.result)
+        elif self._waiters is None:
+            self._waiters = [resume]
+        else:
+            self._waiters.append(resume)
+
+    def _on_engine(self, _grant: Any = None) -> None:
+        tc = self.dma.tc
+        if self.write:
+            tc.dma_bytes_written += self.nbytes
+        else:
+            tc.dma_bytes_read += self.nbytes
+        bus = tc.resource
+        if bus.try_acquire():
+            self._on_bus()
+        else:
+            bus.request(PRIO_DMA)._add_waiter(self._on_bus)
+
+    def _on_bus(self, _grant: Any = None) -> None:
+        dma = self.dma
+        spec = dma.tc.spec
+        hold = (spec.dma_write_us(self.nbytes) if self.write
+                else spec.dma_read_us(self.nbytes))
+        dma.sim.call_after(hold, self._on_hold)
+
+    def _on_hold(self) -> None:
+        dma = self.dma
+        dma.tc.resource.release()
+        dma.engine.release()
+        if dma.fidelity.copy_data:
+            addr = self.addr
+            if self.write:
+                if self.data is not None:
+                    if dma.cache is not None:
+                        dma.cache.dma_write(addr, self.data)
+                    else:
+                        dma.memory.write(addr, self.data)
+            elif dma.sgmap is not None and dma.sgmap.covers(addr):
                 # Bursts never cross a page, so one translation covers
                 # the whole transaction.
-                return self.memory.read(self.sgmap.translate(addr),
-                                        nbytes)
-            return self.memory.read(addr, nbytes)
-        return b"\x00" * nbytes
+                self.result = dma.memory.read(dma.sgmap.translate(addr),
+                                              self.nbytes)
+            else:
+                self.result = dma.memory.read(addr, self.nbytes)
+        elif not self.write:
+            self.result = b"\x00" * self.nbytes
+        self.done = True
+        if self.on_done is not None:
+            self.on_done(self)
+        if self._waiters is not None:
+            for resume in self._waiters:
+                resume(self.result)
 
 
-__all__ = ["DmaController", "DmaMode"]
+__all__ = ["DmaController", "DmaMode", "DmaTransaction"]

@@ -37,11 +37,9 @@ from ..atm.sar import (
     ConcurrentReassembler, LossDetected, SequenceNumberReassembler,
     SkewOverflow,
 )
-from ..hw.dma import DmaMode
+from ..hw.dma import DmaMode, DmaTransaction
 from ..hw.specs import AAL_PAYLOAD_BYTES
-from ..sim import (
-    Delay, Process, SimulationError, Simulator, Store, spawn,
-)
+from ..sim import Delay, SimulationError, Simulator, Store, spawn
 from .board import Channel, OsirisBoard
 from .descriptors import Descriptor, FLAG_END_OF_PDU, FLAG_ERROR
 
@@ -83,8 +81,65 @@ class _VciState:
     link_counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
     buckets: dict[int, _Bucket] = field(default_factory=dict)
     max_offset_seen: int = 0
-    last_dma: Optional[Process] = None
+    last_dma: Optional["_RxDmaCommand"] = None
     dropping: bool = False
+
+
+class _RxDmaCommand:
+    """One receive DMA command: a cell's (or cell pair's) payload,
+    moved by one or more :class:`DmaTransaction` s chained by callback.
+
+    The controller stops at page boundaries and waits for a
+    continuation address (section 2.5.2), so a payload that straddles
+    a boundary costs two transactions.  The command starts one event
+    after it is issued (the engine runs concurrently with cell
+    processing); when its last transaction completes it returns its
+    command-queue token first and then wakes its joiners.  The
+    processor joins it like a process: ``done``, then
+    ``yield command``.
+    """
+
+    __slots__ = ("rxp", "pos", "left", "data", "done", "_waiters")
+
+    def __init__(self, rxp: "RxProcessor", addr: int,
+                 data: Optional[bytes], nbytes: int):
+        self.rxp = rxp
+        self.pos = addr
+        self.left = nbytes
+        self.data = data
+        self.done = False
+        self._waiters: Optional[list] = None    # built on the first join
+        rxp.sim.call_now(self._next)
+
+    def _add_waiter(self, resume) -> None:
+        if self.done:
+            resume(None)
+        elif self._waiters is None:
+            self._waiters = [resume]
+        else:
+            self._waiters.append(resume)
+
+    def _next(self, _done: Optional[DmaTransaction] = None) -> None:
+        left = self.left
+        if left > 0:
+            dma = self.rxp.board.rx_dma
+            pos = self.pos
+            burst = dma.max_burst(pos, left)
+            self.pos = pos + burst
+            self.left = left - burst
+            data = self.data
+            if data is not None:
+                # A transaction moves the bytes it carries.
+                self.data = data[burst:]
+                data = data[:burst]
+                burst = len(data)
+            DmaTransaction(dma, pos, burst, True, data, self._next)
+            return
+        self.rxp._dma_tokens.try_put(None)
+        self.done = True
+        if self._waiters is not None:
+            for resume in self._waiters:
+                resume(None)
 
 
 @dataclass
@@ -149,7 +204,7 @@ class RxProcessor:
         spec = self.board.spec
         while True:
             cell = yield self.board.rx_fifo.get()
-            yield Delay(spec.rx_cell_us)
+            yield float(spec.rx_cell_us)
             first = yield from self._plan(cell)
             if first is None:
                 continue
@@ -277,16 +332,16 @@ class RxProcessor:
         immediately after the first (section 2.5.1)."""
         if first.cell.eom:
             return None
-        items = self.board.rx_fifo.items
-        if not items:
+        fifo = self.board.rx_fifo
+        nxt: Optional[Cell] = fifo.peek()
+        if nxt is None:
             # The successor may be one cell-time behind on the wire;
             # waiting for its header costs less than a separate DMA's
             # overhead, so the firmware holds briefly.
             yield Delay(self.combine_wait_us)
-            items = self.board.rx_fifo.items
-            if not items:
+            nxt = fifo.peek()
+            if nxt is None:
                 return None
-        nxt: Cell = items[0]
         if nxt.vci != first.cell.vci:
             return None
         if not self._is_contiguous(first, nxt):
@@ -298,9 +353,9 @@ class RxProcessor:
         if self.board.rx_dma.max_burst(first.addr, 2 * AAL_PAYLOAD_BYTES) \
                 < 2 * AAL_PAYLOAD_BYTES:
             return None
-        ok, cell = self.board.rx_fifo.try_get()
+        ok, cell = fifo.try_get()
         assert ok and cell is nxt
-        yield Delay(self.board.spec.rx_cell_us)
+        yield float(self.board.spec.rx_cell_us)
         second = yield from self._plan(cell)
         return second
 
@@ -320,47 +375,23 @@ class RxProcessor:
     def _issue_dma(self, first: _Placement,
                    second: Optional[_Placement]
                    ) -> Generator[Any, Any, None]:
+        """Issue one DMA command for a cell or a combined pair; blocks
+        only when the command queue is full (the engine runs
+        concurrently with cell processing)."""
+        copy = self.board.fidelity.copy_data
         if second is not None:
-            data = None
-            if self.board.fidelity.copy_data:
-                data = first.cell.payload + second.cell.payload
+            data = (first.cell.payload + second.cell.payload
+                    if copy else None)
+            nbytes = 2 * AAL_PAYLOAD_BYTES
             self.combined_dmas += 1
-            proc = yield from self._spawn_dma(first.addr, data,
-                                              2 * AAL_PAYLOAD_BYTES)
-            first.state.last_dma = proc
         else:
-            data = (first.cell.payload
-                    if self.board.fidelity.copy_data else None)
+            data = first.cell.payload if copy else None
+            nbytes = AAL_PAYLOAD_BYTES
             self.single_dmas += 1
-            proc = yield from self._spawn_dma(first.addr, data,
-                                              AAL_PAYLOAD_BYTES)
-            first.state.last_dma = proc
-
-    def _spawn_dma(self, addr: int, data: Optional[bytes], nbytes: int
-                   ) -> Generator[Any, Any, Process]:
-        """Issue a DMA command; blocks only when the command queue is
-        full (the engine runs concurrently with cell processing)."""
-        yield self._dma_tokens.get()
-
-        def dma_task() -> Generator[Any, Any, None]:
-            # The controller stops at page boundaries and waits for a
-            # continuation address (section 2.5.2), so a payload that
-            # straddles a boundary costs two transactions.
-            pos = addr
-            left = nbytes
-            offset = 0
-            while left > 0:
-                burst = self.board.rx_dma.max_burst(pos, left)
-                chunk = (data[offset:offset + burst]
-                         if data is not None else None)
-                yield from self.board.rx_dma.write_host(
-                    pos, data=chunk, nbytes=burst)
-                pos += burst
-                offset += burst
-                left -= burst
-            self._dma_tokens.try_put(None)
-
-        return spawn(self.sim, dma_task(), "rx-dma")
+        tokens = self._dma_tokens
+        if not tokens.try_get()[0]:
+            yield tokens.get()
+        first.state.last_dma = _RxDmaCommand(self, first.addr, data, nbytes)
 
     # -- completion ----------------------------------------------------------------
 

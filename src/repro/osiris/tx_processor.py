@@ -149,11 +149,12 @@ class _PduTransmission:
     def _emit_cell(self) -> Generator[Any, Any, None]:
         txp = self.txp
         index = self.emitted
-        if txp.credit_gate is not None:
+        gate = txp.credit_gate
+        if gate is not None and not gate.try_acquire(self.vci):
             # Fabric backpressure: hold the cell until its VCI may
             # emit (credit available / EFCI cooldown elapsed).
-            yield from txp.credit_gate.acquire(self.vci)
-        yield Delay(txp.board.spec.tx_cell_us)
+            yield from gate.acquire(self.vci)
+        yield float(txp.board.spec.tx_cell_us)
         if self.framed is not None:
             payload = self.framed[index * AAL_PAYLOAD_BYTES:
                                   (index + 1) * AAL_PAYLOAD_BYTES]
@@ -200,9 +201,10 @@ class TxProcessor:
         self.segment_mode = segment_mode
         self.interleave = interleave
         self.work = Signal("tx.work")
-        # Optional per-VCI emission gate (duck-typed: anything with an
-        # ``acquire(vci)`` subroutine, e.g. repro.cluster.backpressure.
-        # CreditGate).  The fabric installs one when flow control is on.
+        # Optional per-VCI emission gate (duck-typed: anything with a
+        # ``try_acquire(vci)`` test and an ``acquire(vci)`` subroutine,
+        # e.g. repro.cluster.backpressure.CreditGate).  The fabric
+        # installs one when flow control is on.
         self.credit_gate = None
         self.pdus_sent = 0
         self.cells_sent = 0

@@ -11,8 +11,7 @@ reasons about costs in microseconds and 40 ns bus cycles, so a float
 microsecond clock gives comfortable resolution (a 25 MHz cycle is
 0.04 us) without the bookkeeping of integer picoseconds.
 
-The queue is a plain heap of ``(time, key, seq)`` tuples with the
-callbacks held in a side table keyed by ``seq``:
+The queue is a plain heap of ``[time, key, seq, callback]`` entries:
 
 * ``key`` is an *ordering key* that breaks same-time ties **by
   content** instead of by insertion order.  Ordinary events use the
@@ -24,28 +23,32 @@ callbacks held in a side table keyed by ``seq``:
   delivered from another shard's mailbox.  This is what makes the
   sharded cluster runs of :mod:`repro.sim.parallel` bit-identical to
   single-process runs.
-* Cancellation removes the side-table entry in O(1); stale heap tuples
-  are skipped lazily on pop, and the heap is compacted whenever more
-  than half of it is dead, so cancel-heavy models no longer accumulate
-  garbage.  :attr:`Simulator.pending` is the side table's length --
-  O(1), and it counts *live* entries only.
+* ``seq`` is unique, so a comparison never reaches the callback.  An
+  entry whose callback slot is ``None`` is dead: :meth:`Timer.cancel`
+  clears the slot of a pending entry, and the loop clears it when the
+  entry fires, so cancelling a timer that already fired does nothing.
+  Dead entries are skipped lazily on pop; a dead counter keeps
+  :attr:`Simulator.pending` O(1) and exact, and the heap is filtered in
+  place whenever more than half of it is dead, so cancel-heavy models
+  do not accumulate garbage.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 # Ordinary events carry the empty ordering key: at equal times they
 # sort before any keyed (boundary) event and among themselves by
 # schedule order.
 NO_KEY: tuple = ()
-_INF = float("inf")
+# run()'s horizon: every comparison with NaN is false, so no event --
+# not even one at +inf -- is "at or past" it.
+_NO_HORIZON = float("nan")
 
-# Compaction policy: rebuild the heap once it holds this many entries
-# and more than half of them are dead (cancelled or already popped
-# from the side table).
+# Compaction policy: filter the heap once it holds this many entries
+# and more than half of them are dead (cancelled).
 _COMPACT_MIN = 64
 
 
@@ -56,7 +59,7 @@ class SimulationError(RuntimeError):
 # Installed by repro.analysis.sanitize: when set, every Simulator
 # constructed afterwards owns a sanitizer instance whose on_event /
 # window_begin / window_end hooks watch for monotone-time and
-# shard-horizon violations.  None (the default) costs one attribute
+# shard-horizon violations.  None (the default) costs one local
 # check per event.
 _sanitizer_factory: Optional[Callable[[], object]] = None
 
@@ -70,32 +73,38 @@ def set_sanitizer_factory(factory: Optional[Callable[[], object]]) -> None:
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("_sim", "_seq", "_time", "_cancelled")
+    __slots__ = ("_sim", "_entry", "_cancelled")
 
-    def __init__(self, sim: "Simulator", seq: int, time: float):
+    def __init__(self, sim: "Simulator", entry: list):
         self._sim = sim
-        self._seq = seq
-        self._time = time
+        self._entry = entry
         self._cancelled = False
 
     @property
     def time(self) -> float:
         """Absolute simulation time at which the callback fires."""
-        return self._time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
+        """True once :meth:`cancel` stopped the callback from running."""
         return self._cancelled
 
     def cancel(self) -> None:
-        """Prevent the callback from running (idempotent)."""
-        if self._cancelled:
+        """Prevent the callback from running.
+
+        Idempotent, and a no-op once the callback has fired: the
+        entry's callback slot is already clear either way.
+        """
+        entry = self._entry
+        if entry[3] is None:
             return
+        entry[3] = None
         self._cancelled = True
         sim = self._sim
-        sim._live.pop(self._seq, None)
+        sim._dead += 1
         if (len(sim._heap) >= _COMPACT_MIN
-                and len(sim._live) * 2 < len(sim._heap)):
+                and sim._dead * 2 > len(sim._heap)):
             sim._compact()
 
 
@@ -108,14 +117,19 @@ class Simulator:
     :meth:`call_after` and the experiment driver advances time with
     :meth:`run`, :meth:`run_until`, or -- for conservatively
     synchronized shards -- :meth:`run_window`.
+
+    :attr:`now` is the current simulation time in microseconds.  It is
+    a plain attribute for speed; only the kernel writes it.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple] = []            # (time, key, seq)
-        self._live: dict[int, tuple] = {}       # seq -> (time, key, cb)
+        self._heap: list[list] = []     # [time, key, seq, callback]
         self._seq = itertools.count()
-        self._now = 0.0
+        self._dead = 0                  # cancelled entries still queued
+        self.now = 0.0
         self._running = False
+        # Events executed.  The inline loop adds its count when a run
+        # call returns.
         self.events_processed = 0
         # Per-cell operations a fast path (repro.sim.trains) folded
         # into arithmetic instead of heap events.  events_processed +
@@ -134,14 +148,10 @@ class Simulator:
                           if _sanitizer_factory is not None else None)
 
     @property
-    def now(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now
-
-    @property
     def last_event_time(self) -> float:
         """Timestamp of the last event executed *or* folded -- unlike
-        `now`, never advanced by run_until/advance_to clamping."""
+        `now`, never advanced by run_until/advance_to clamping.  Exact
+        between run calls."""
         if self._model_last > self._last_event_time:
             return self._model_last
         return self._last_event_time
@@ -160,14 +170,13 @@ class Simulator:
         ``key`` is the same-time ordering key (see module docstring);
         leave it empty for ordinary events.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past ({time} < {self._now})"
+                f"cannot schedule in the past ({time} < {self.now})"
             )
-        seq = next(self._seq)
-        self._live[seq] = (time, key, callback)
-        heapq.heappush(self._heap, (time, key, seq))
-        return Timer(self, seq, time)
+        entry = [time, key, next(self._seq), callback]
+        heappush(self._heap, entry)
+        return Timer(self, entry)
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` after ``delay`` microseconds."""
@@ -175,52 +184,91 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         # Inlined call_at: a non-negative delay cannot land in the
         # past, and this is the process kernel's per-yield path.
-        time = self._now + delay
-        seq = next(self._seq)
-        self._live[seq] = (time, NO_KEY, callback)
-        heapq.heappush(self._heap, (time, NO_KEY, seq))
-        return Timer(self, seq, time)
+        entry = [self.now + delay, NO_KEY, next(self._seq), callback]
+        heappush(self._heap, entry)
+        return Timer(self, entry)
 
     def call_now(self, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at the current time (after pending events)."""
-        return self.call_at(self._now, callback)
+        return self.call_at(self.now, callback)
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) queued entries -- O(1)."""
-        return len(self._live)
+        return len(self._heap) - self._dead
 
     def _compact(self) -> None:
-        """Drop dead tuples by rebuilding the heap from the live set."""
-        self._heap = [(time, key, seq)
-                      for seq, (time, key, _cb) in self._live.items()]
-        heapq.heapify(self._heap)
+        """Filter dead entries out of the heap.  In place: a running
+        event loop holds a reference to the list."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[3] is not None]
+        heapify(heap)
+        self._dead = 0
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        heap, live = self._heap, self._live
-        while heap and heap[0][2] not in live:
-            heapq.heappop(heap)
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            heappop(heap)
+            self._dead -= 1
         if not heap:
             return None
         return heap[0][0]
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when queue is empty."""
-        heap, live = self._heap, self._live
+        heap = self._heap
         while heap:
-            time, _key, seq = heapq.heappop(heap)
-            entry = live.pop(seq, None)
-            if entry is None:
-                continue                      # cancelled
-            self._now = time
+            entry = heappop(heap)
+            callback = entry[3]
+            if callback is None:
+                self._dead -= 1
+                continue
+            entry[3] = None
+            time = entry[0]
+            self.now = time
             self._last_event_time = time
             self.events_processed += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_event(time)
-            entry[2]()
+            callback()
             return True
         return False
+
+    def _drive(self, horizon: float, limit: int) -> int:
+        """The event loop: run events strictly below ``horizon``, at
+        most ``limit`` of them (0: no limit).  Returns the count.
+
+        Inline rather than a :meth:`step` per event.  The event count
+        and the last event time are written back when it returns.
+        """
+        heap = self._heap
+        sanitizer = self.sanitizer
+        count = 0
+        last = self._last_event_time
+        try:
+            while heap:
+                entry = heap[0]
+                time = entry[0]
+                if time >= horizon:
+                    break
+                heappop(heap)
+                callback = entry[3]
+                if callback is None:
+                    self._dead -= 1
+                    continue
+                entry[3] = None
+                self.now = last = time
+                count += 1
+                if sanitizer is not None:
+                    sanitizer.on_event(time)
+                callback()
+                if count == limit:
+                    break
+        finally:
+            self.events_processed += count
+            self._last_event_time = last
+        return count
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
@@ -234,15 +282,14 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         try:
-            count = 0
-            while self.step():
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return count
+            limit = 0 if max_events is None else max(max_events, 1)
+            count = self._drive(_NO_HORIZON, limit)
+            if limit and count == limit:
+                return count
             # Drained.  Folded model work may postdate the last heap
             # event; land the clock where the per-cell run would.
-            if self._model_last > self._now:
-                self._now = self._model_last
+            if self._model_last > self.now:
+                self.now = self._model_last
             return count
         finally:
             self._running = False
@@ -258,7 +305,7 @@ class Simulator:
                 if nxt is None or nxt > time:
                     break
                 self.step()
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
         finally:
             self._running = False
 
@@ -276,28 +323,14 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
-        executed = 0
         if self.sanitizer is not None:
             self.sanitizer.window_begin(horizon)
         try:
-            if horizon == _INF:
-                # Unbounded window (a coalesced run's final drain):
-                # skip the per-event peek -- the horizon check cannot
-                # fire, and the peek's heap probe costs ~15% per event.
-                while self.step():
-                    executed += 1
-            else:
-                while True:
-                    nxt = self.peek()
-                    if nxt is None or nxt >= horizon:
-                        break
-                    self.step()
-                    executed += 1
+            return self._drive(horizon, 0)
         finally:
             if self.sanitizer is not None:
                 self.sanitizer.window_end()
             self._running = False
-        return executed
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without running events.
@@ -308,12 +341,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if time > self._now:
+        if time > self.now:
             nxt = self.peek()
             if nxt is not None and nxt < time:
                 raise SimulationError(
                     f"advance_to({time}) would skip an event at {nxt}")
-            self._now = time
+            self.now = time
 
     def run_while(self, predicate: Callable[[], bool],
                   max_events: int = 50_000_000) -> None:

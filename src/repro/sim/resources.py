@@ -131,19 +131,19 @@ class Resource:
     def _grant(self, request: _Request) -> None:
         self._acquire()
         assert request._resume is not None
-        request._resume(Grant(self, self.sim._now))
+        request._resume(Grant(self, self.sim.now))
 
     def _acquire(self) -> None:
         self._in_use += 1
         self.grants += 1
         if self._busy_since is None:
-            self._busy_since = self.sim._now
+            self._busy_since = self.sim.now
 
     def release(self) -> None:
         """Return one unit and hand it to the head of the queue."""
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim._now - self._busy_since
+            self.busy_time += self.sim.now - self._busy_since
             self._busy_since = None
         if self._waiting and self._in_use < self.capacity:
             self._grant(heapq.heappop(self._waiting))
@@ -210,9 +210,9 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
+    def peek(self) -> Any:
+        """The head item without removing it, or None when empty."""
+        return self._items[0] if self._items else None
 
     def get(self) -> _Get:
         return _Get(self)

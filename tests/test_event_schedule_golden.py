@@ -44,3 +44,27 @@ def test_figure2_double_cell_16kb_schedule(simulators):
     assert [sim.events_processed for sim in simulators] == [81545]
     assert (result.combined_dmas, result.single_dmas) == (12144, 396)
     assert result.mbps == 386.61973380595657
+
+
+def test_contended_cluster_all2all_credit_schedule(simulators, capsys):
+    """A contended fabric point: switch ports, credit gates and NIC
+    FIFO overflow are all busy, so the drain loop, the receive DMA
+    commands and the credit path each set same-time tie-breaks."""
+    import hashlib
+    import json
+
+    from repro.cli import main
+
+    main(["cluster", "--hosts", "4", "--pattern", "all2all",
+          "--backpressure", "credit", "--messages", "3",
+          "--size", "2048", "--json"])
+    out = capsys.readouterr().out
+    assert [sim.events_processed for sim in simulators] == [15022]
+    assert [sim.events_absorbed for sim in simulators] == [1692]
+    report = json.loads(out)
+    assert sum(s["cells_switched"] for s in report["switches"]) == 1692
+    assert (report["workload"]["messages_received"],
+            report["workload"]["messages_sent"]) == (20, 36)
+    assert sum(h["rx_fifo_drops"] for h in report["hosts"]) > 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
+        "53e26a37102efed5"
