@@ -21,7 +21,7 @@ transmit processor:
 
 A :class:`CreditGate` is per host; :class:`repro.osiris.tx_processor.
 TxProcessor` takes a credit before every cell (:meth:`try_acquire`,
-or :meth:`acquire` when it must stall), and
+or the callback :meth:`wait` when it must stall), and
 :class:`repro.cluster.fabric.Fabric` installs the refill/pause ends
 when it opens a flow.  VCIs the gate has never heard of (ADC grants,
 cross traffic) pass through untouched.
@@ -30,9 +30,9 @@ cross traffic) pass through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
-from ..sim import Delay, Signal, SimulationError, Simulator
+from ..sim import Latch, Signal, SimulationError, Simulator
 
 BACKPRESSURE_MODES = ("none", "credit", "efci")
 
@@ -123,8 +123,8 @@ class CreditGate:
     def try_acquire(self, vci: int) -> bool:
         """Let ``vci`` emit one cell now if it may without waiting: an
         ungated or uncounted VCI, or a free credit (taken).  False
-        means the caller must ``yield from`` :meth:`acquire`, which
-        then records the stall."""
+        means the caller must :meth:`wait` (or ``yield from``
+        :meth:`acquire`), which then records the stall."""
         flow = self._flows.get(vci)
         return flow is None or self._take(flow)
 
@@ -141,27 +141,58 @@ class CreditGate:
             return True
         return False
 
-    def acquire(self, vci: int) -> Generator[Any, Any, None]:
-        """Block until ``vci`` may emit one cell (subroutine: use as
-        ``yield from gate.acquire(vci)``).  Ungated VCIs never block."""
+    def wait(self, vci: int, then: Callable[[], None]) -> None:
+        """Call ``then()`` once ``vci`` may emit one cell (its credit
+        taken).  Synchronous when it may emit now; otherwise the stall
+        is counted and timed, and ``then`` runs from the event that
+        ends it.  Ungated VCIs never wait."""
         flow = self._flows.get(vci)
         if flow is None:
+            then()
+        else:
+            self._wait(flow, then)
+
+    def _wait(self, flow: _FlowGate, then: Callable[[], None]) -> None:
+        # One pass of the emission loop.  It keeps the flow it started
+        # on: a VCI retired mid-stall re-checks its old (now uncounted)
+        # gate and emits once any EFCI pause has run out.
+        if self._take(flow):
+            then()
             return
-        while not self._take(flow):
-            start = self.sim.now
-            flow.stalls += 1
-            self.stalls += 1
-            if start < flow.resume_at:
-                yield Delay(flow.resume_at - start)
-            else:
-                flow.waiting = True
-                self._arm_recovery(flow)
-                yield flow.signal
-                flow.waiting = False
-                self._cancel_recovery(flow)
-            elapsed = self.sim.now - start
-            flow.stall_time_us += elapsed
-            self.stall_time_us += elapsed
+        start = self.sim.now
+        flow.stalls += 1
+        self.stalls += 1
+        if start < flow.resume_at:
+            # EFCI cooldown: sleep until it ends, then check again.
+            def paused() -> None:
+                self._stalled(flow, start)
+                self._wait(flow, then)
+
+            self.sim.call_after(flow.resume_at - start, paused)
+            return
+        flow.waiting = True
+        self._arm_recovery(flow)
+
+        def signalled(_value: Any = None) -> None:
+            flow.waiting = False
+            self._cancel_recovery(flow)
+            self._stalled(flow, start)
+            self._wait(flow, then)
+
+        flow.signal._add_waiter(signalled)
+
+    def _stalled(self, flow: _FlowGate, start: float) -> None:
+        elapsed = self.sim.now - start
+        flow.stall_time_us += elapsed
+        self.stall_time_us += elapsed
+
+    def acquire(self, vci: int) -> Generator[Any, Any, None]:
+        """Block until ``vci`` may emit one cell (subroutine: use as
+        ``yield from gate.acquire(vci)``).  A process's view of
+        :meth:`wait`; ungated VCIs never block."""
+        ready = Latch(f"{self.name}.acquire")
+        self.wait(vci, ready.fire)
+        yield ready
 
     def retire_vci(self, vci: int) -> None:
         """Forget a gated VCI -- path failover retired its wire

@@ -108,12 +108,19 @@ class ClusterReport:
                 f"  backpressure: {bp['mode']}, {stalls} stalls, "
                 f"{stall_us:.1f} us stalled")
         for host in self.hosts:
-            lines.append(
-                f"  {host['name']:<4} pdus tx/rx "
-                f"{host['pdus_sent']:>5}/{host['pdus_received']:<5} "
-                f"cells tx/rx {host['cells_sent']:>6}/"
-                f"{host['cells_received']:<6} "
-                f"irqs {host['interrupts_serviced']}")
+            line = (f"  {host['name']:<4} pdus tx/rx "
+                    f"{host['pdus_sent']:>5}/{host['pdus_received']:<5} "
+                    f"cells tx/rx {host['cells_sent']:>6}/"
+                    f"{host['cells_received']:<6} "
+                    f"irqs {host['interrupts_serviced']}")
+            # Receive-side losses the conservation line cannot show:
+            # cells the board's FIFO overflowed, PDUs the driver
+            # rejected.  Printed only when they happened.
+            if host.get("rx_fifo_drops"):
+                line += f"  rx-fifo drops {host['rx_fifo_drops']}"
+            if host.get("rx_errors"):
+                line += f"  rx errors {host['rx_errors']}"
+            lines.append(line)
         if self.workload:
             wl = self.workload
             lines.append(

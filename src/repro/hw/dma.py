@@ -19,18 +19,21 @@ on-board processors.
 
 A transaction is a :class:`DmaTransaction`: a chain of callbacks
 (engine grant, bus grant, bus hold, release, copy, completion) rather
-than a generator process, so the receive processor's per-cell DMA
-commands cost no process machinery.  :meth:`DmaController.read_host`
-and :meth:`~DmaController.write_host` are generator methods that start
-one transaction and wait on it.
+than a generator process, so the on-board processors' per-cell DMA
+commands cost no process machinery.  The engine is a busy flag and a
+FIFO of waiting transactions; the bus stays a shared
+:class:`~repro.sim.Resource` because CPU traffic contends for it too.
+:meth:`DmaController.read_host` and :meth:`~DmaController.write_host`
+are generator methods that start one transaction and wait on it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
-from ..sim import Fidelity, Resource, SimulationError, Simulator
+from ..sim import Fidelity, SimulationError, Simulator
 from .bus import PRIO_DMA, TurboChannel
 from .cache import DataCache
 from .memory import PhysicalMemory
@@ -70,7 +73,9 @@ class DmaController:
         self.tc = tc
         self.memory = memory
         self.cache = cache
-        self.mode = mode
+        self._mode = mode
+        # The mode's length cap (None: uncapped), read per transaction.
+        self.max_bytes = mode.max_bytes
         self.page_boundary_stop = page_boundary_stop
         self.page_size = page_size
         self.fidelity = fidelity or Fidelity.full()
@@ -83,7 +88,18 @@ class DmaController:
         # commands wait *in the controller*, so bus arbitration sees at
         # most one pending DMA request and other agents (host PIO, CPU
         # memory traffic on a shared-path machine) interleave fairly.
-        self.engine = Resource(sim, "dma-engine", capacity=1)
+        # Only transactions use the engine, so it is a busy flag plus a
+        # FIFO of waiting transactions rather than a Resource.
+        self.busy = False
+        self.waiting: deque[DmaTransaction] = deque()
+        # Bus hold per transfer size (the bus spec is frozen).
+        self._read_holds: dict[int, float] = {}
+        self._write_holds: dict[int, float] = {}
+
+    @property
+    def mode(self) -> DmaMode:
+        """The transfer-length discipline, fixed at construction."""
+        return self._mode
 
     def max_burst(self, addr: int, wanted: int) -> int:
         """Longest legal transaction starting at ``addr``.
@@ -94,7 +110,7 @@ class DmaController:
         if wanted <= 0:
             raise SimulationError("DMA burst must move at least one byte")
         allowed = wanted
-        cap = self.mode.max_bytes
+        cap = self.max_bytes
         if cap is not None:
             allowed = min(allowed, cap)
         if self.page_boundary_stop:
@@ -103,10 +119,10 @@ class DmaController:
         return allowed
 
     def _check(self, nbytes: int, addr: int) -> None:
-        cap = self.mode.max_bytes
+        cap = self.max_bytes
         if cap is not None and nbytes > cap:
             raise SimulationError(
-                f"{self.mode.value} DMA cannot move {nbytes} bytes")
+                f"{self._mode.value} DMA cannot move {nbytes} bytes")
         if self.page_boundary_stop:
             to_boundary = self.page_size - (addr % self.page_size)
             if nbytes > to_boundary:
@@ -141,11 +157,13 @@ class DmaTransaction:
     process joins it with ``yield transaction`` (before or after it
     completes), which returns :attr:`result`.
 
-    The engine and the bus are granted exactly as a process's
-    ``try_acquire``/``request`` pair would grant them, each hand-off
-    synchronous, so a transaction schedules one event (its bus hold)
-    at the same point as the generator form did.  Memory and cache are
-    written at completion, after both releases, not at issue.
+    A free engine starts the transaction at once; a busy one queues it
+    in the controller's FIFO, and the finishing transaction starts the
+    queue head synchronously after releasing the bus.  The bus is
+    granted through its ``try_acquire``/``request`` pair, also
+    synchronously, so a transaction schedules exactly one event, its
+    bus hold.  Memory and cache are written at completion, after both
+    releases, not at issue.
     """
 
     __slots__ = ("dma", "addr", "nbytes", "data", "write", "on_done",
@@ -166,11 +184,11 @@ class DmaTransaction:
         self.done = False
         self.result: Optional[bytes] = None
         self._waiters: Optional[list] = None    # built on the first join
-        engine = dma.engine
-        if engine.try_acquire():
-            self._on_engine()
+        if dma.busy:
+            dma.waiting.append(self)
         else:
-            engine.request()._add_waiter(self._on_engine)
+            dma.busy = True
+            self._on_engine()
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         # Duck-typed with Signal so `yield transaction` joins it.
@@ -181,7 +199,7 @@ class DmaTransaction:
         else:
             self._waiters.append(resume)
 
-    def _on_engine(self, _grant: Any = None) -> None:
+    def _on_engine(self) -> None:
         tc = self.dma.tc
         if self.write:
             tc.dma_bytes_written += self.nbytes
@@ -195,15 +213,22 @@ class DmaTransaction:
 
     def _on_bus(self, _grant: Any = None) -> None:
         dma = self.dma
-        spec = dma.tc.spec
-        hold = (spec.dma_write_us(self.nbytes) if self.write
-                else spec.dma_read_us(self.nbytes))
+        nbytes = self.nbytes
+        holds = dma._write_holds if self.write else dma._read_holds
+        hold = holds.get(nbytes)
+        if hold is None:
+            spec = dma.tc.spec
+            hold = holds[nbytes] = (spec.dma_write_us(nbytes) if self.write
+                                    else spec.dma_read_us(nbytes))
         dma.sim.call_after(hold, self._on_hold)
 
     def _on_hold(self) -> None:
         dma = self.dma
         dma.tc.resource.release()
-        dma.engine.release()
+        if dma.waiting:
+            dma.waiting.popleft()._on_engine()
+        else:
+            dma.busy = False
         if dma.fidelity.copy_data:
             addr = self.addr
             if self.write:

@@ -22,16 +22,22 @@ Skew-tolerant modes require full data fidelity and assume PDUs on one
 VCI do not overlap by more than the stripe reorder window (the pure
 algorithms in :mod:`repro.atm.sar` handle unrestricted pipelining and
 are property-tested separately).
+
+The loop, its DMA commands and the cell sources are callback state
+machines rather than generator processes: every wait ends in the
+method that continues the loop, so a cell costs no process resume.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Optional
 
 from ..analysis.sanitize import maybe_actor
-from ..atm.aal5 import Aal5Error, BadCrc, Reassembler, SegmentMode, encode_pdu
+from ..atm.aal5 import (
+    Aal5Error, BadCrc, Reassembler, SegmentMode, encode_pdu, framed_size,
+)
 from ..atm.cell import Cell
 from ..atm.sar import (
     ConcurrentReassembler, LossDetected, SequenceNumberReassembler,
@@ -39,7 +45,7 @@ from ..atm.sar import (
 )
 from ..hw.dma import DmaMode, DmaTransaction
 from ..hw.specs import AAL_PAYLOAD_BYTES
-from ..sim import Delay, SimulationError, Simulator, Store, spawn
+from ..sim import SimulationError, Simulator, Store
 from .board import Channel, OsirisBoard
 from .descriptors import Descriptor, FLAG_END_OF_PDU, FLAG_ERROR
 
@@ -78,7 +84,9 @@ class _VciState:
     offset: int = 0
     cells_in_pdu: int = 0
     base_seq: int = 0
-    link_counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    # CONCURRENT mode: cells placed so far per link, one slot per
+    # stripe link (built with the processor's stripe width).
+    link_counts: list[int] = field(default_factory=list)
     buckets: dict[int, _Bucket] = field(default_factory=dict)
     max_offset_seen: int = 0
     last_dma: Optional["_RxDmaCommand"] = None
@@ -96,7 +104,7 @@ class _RxDmaCommand:
     processing); when its last transaction completes it returns its
     command-queue token first and then wakes its joiners.  The
     processor joins it like a process: ``done``, then
-    ``yield command``.
+    ``_add_waiter`` (a process may ``yield command``).
     """
 
     __slots__ = ("rxp", "pos", "left", "data", "done", "_waiters")
@@ -196,25 +204,56 @@ class RxProcessor:
         self.cells_dropped_no_buffer = 0
         self.combined_dmas = 0
         self.single_dmas = 0
-        self.process = spawn(sim, self._run(), "rx-processor")
+        # Loop state: the cell being processed, the first placement of
+        # the current command, its combined partner, and the payload
+        # the command carries.
+        self._cell: Optional[Cell] = None
+        self._first: Optional[_Placement] = None
+        self._second: Optional[_Placement] = None
+        self._data: Optional[bytes] = None
+        self._nbytes = 0
+        self._fifo = board.rx_fifo
+        self._cell_us = float(board.spec.rx_cell_us)
+        self._double = board.rx_dma.mode is DmaMode.DOUBLE_CELL
+        # The first pass is an event of its own; the pinned event
+        # schedule counts it.
+        sim.call_now(self._next)
 
     # -- main loop ----------------------------------------------------------
+    #
+    # One cell: _next (FIFO read) -> _on_cell (rx_cell_us) -> _plan ->
+    # _on_first -> [_try_combine] -> _issue (command token) -> _command
+    # -> _post_dma for each placement -> _next.
 
-    def _run(self) -> Generator[Any, Any, None]:
-        spec = self.board.spec
-        while True:
-            cell = yield self.board.rx_fifo.get()
-            yield float(spec.rx_cell_us)
-            first = yield from self._plan(cell)
-            if first is None:
-                continue
-            second = None
-            if self.board.rx_dma.mode is DmaMode.DOUBLE_CELL:
-                second = yield from self._try_combine(first)
-            yield from self._issue_dma(first, second)
-            yield from self._post_dma(first)
-            if second is not None:
-                yield from self._post_dma(second)
+    def _next(self, _value: Any = None) -> None:
+        """Top of the loop: read the next cell from the FIFO.  A get
+        hands over a queued cell synchronously and admits a blocked
+        putter only after this loop has scheduled the cell's time."""
+        self._fifo.get()._add_waiter(self._on_cell)
+
+    def _on_cell(self, cell: Cell) -> None:
+        self._cell = cell
+        self.sim.call_after(self._cell_us, self._on_cell_time)
+
+    def _on_cell_time(self) -> None:
+        self._plan(self._cell, self._on_first)
+
+    def _on_first(self, first: Optional[_Placement]) -> None:
+        if first is None:
+            self._next()
+            return
+        self._first = first
+        if self._double:
+            self._try_combine(first)
+        else:
+            self._issue(None)
+
+    def _after_first(self) -> None:
+        second = self._second
+        if second is None:
+            self._next()
+        else:
+            self._post_dma(second, self._next)
 
     # -- placement ------------------------------------------------------------
 
@@ -227,7 +266,8 @@ class RxProcessor:
         state = self._states.get(cell.vci)
         if state is None:
             state = _VciState(channel=channel, vci=cell.vci,
-                              detector=self._new_detector(cell.vci))
+                              detector=self._new_detector(cell.vci),
+                              link_counts=[0] * self.stripe_width)
             self._states[cell.vci] = state
         return state
 
@@ -252,32 +292,39 @@ class RxProcessor:
         m = state.link_counts[cell.link_id]
         return (m * self.stripe_width + cell.link_id) * AAL_PAYLOAD_BYTES
 
-    def _plan(self, cell: Cell) -> Generator[Any, Any, Optional[_Placement]]:
-        """Demux, compute placement, secure a buffer, update counters."""
+    def _plan(self, cell: Cell,
+              then: Callable[[Optional[_Placement]], None]) -> None:
+        """Demux, compute placement, secure a buffer, update counters;
+        ``then`` gets the placement, or None when the cell is dropped."""
         self.cells_received += 1
         state = self._state_for(cell)
         if state is None:
-            return None
+            then(None)
+            return
         if state.dropping:
             # Discard the rest of a PDU that lost its buffer.
             if cell.eom and self.reassembly_mode is SegmentMode.IN_ORDER:
                 state.dropping = False
                 state.detector = self._new_detector(cell.vci)
                 self._reset_pdu(state)
-            return None
+            then(None)
+            return
         offset = self._cell_offset(state, cell)
         if offset < 0:
             # A duplicate from before a loss resync advanced base_seq;
             # its bytes were already abandoned, so drop it quietly.
             self.cells_stale += 1
-            return None
+            then(None)
+            return
         bucket_index = offset // self.bufsize
         bucket = state.buckets.get(bucket_index)
         if bucket is None:
-            bucket = yield from self._allocate_bucket(state, cell,
-                                                      bucket_index)
-            if bucket is None:
-                return None
+            self._allocate_bucket(state, cell, offset, bucket_index, then)
+        else:
+            then(self._place(state, cell, offset, bucket_index, bucket))
+
+    def _place(self, state: _VciState, cell: Cell, offset: int,
+               bucket_index: int, bucket: _Bucket) -> _Placement:
         addr = bucket.desc.addr + (offset % self.bufsize)
         # Advance per-mode cursors.
         if self.reassembly_mode is SegmentMode.IN_ORDER:
@@ -291,33 +338,37 @@ class RxProcessor:
         return _Placement(state=state, cell=cell, offset=offset,
                           addr=addr, bucket_index=bucket_index)
 
-    def _allocate_bucket(self, state: _VciState, cell: Cell,
-                         bucket_index: int
-                         ) -> Generator[Any, Any, Optional[_Bucket]]:
+    def _allocate_bucket(self, state: _VciState, cell: Cell, offset: int,
+                         bucket_index: int,
+                         then: Callable[[Optional[_Placement]], None]
+                         ) -> None:
         channel = state.channel
-        while True:
-            desc = self.board.take_receive_buffer(channel, cell.vci)
-            if desc is not None:
-                if desc.length != self.bufsize:
-                    raise SimulationError(
-                        f"receive buffer of {desc.length} bytes; the "
-                        f"board expects uniform {self.bufsize}")
-                bucket = _Bucket(desc=desc)
-                state.buckets[bucket_index] = bucket
-                return bucket
-            if not self.flow_controlled:
-                self.cells_dropped_no_buffer += 1
-                channel.cells_dropped += 1
-                if self.reassembly_mode is SegmentMode.IN_ORDER:
-                    state.dropping = not cell.eom
-                    state.detector = self._new_detector(cell.vci)
-                    if cell.eom:
-                        self._reset_pdu(state)
-                    else:
-                        self._discard_open_buffers(state)
-                return None
-            # Flow-controlled source: wait for the host to feed buffers.
-            yield channel.free_queue.became_nonempty
+        desc = self.board.take_receive_buffer(channel, cell.vci)
+        if desc is not None:
+            if desc.length != self.bufsize:
+                raise SimulationError(
+                    f"receive buffer of {desc.length} bytes; the "
+                    f"board expects uniform {self.bufsize}")
+            bucket = _Bucket(desc=desc)
+            state.buckets[bucket_index] = bucket
+            then(self._place(state, cell, offset, bucket_index, bucket))
+            return
+        if not self.flow_controlled:
+            self.cells_dropped_no_buffer += 1
+            channel.cells_dropped += 1
+            if self.reassembly_mode is SegmentMode.IN_ORDER:
+                state.dropping = not cell.eom
+                state.detector = self._new_detector(cell.vci)
+                if cell.eom:
+                    self._reset_pdu(state)
+                else:
+                    self._discard_open_buffers(state)
+            then(None)
+            return
+        # Flow-controlled source: wait for the host to feed buffers.
+        channel.free_queue.became_nonempty._add_waiter(
+            lambda _queue: self._allocate_bucket(state, cell, offset,
+                                                 bucket_index, then))
 
     def _discard_open_buffers(self, state: _VciState) -> None:
         for _, bucket in sorted(state.buckets.items()):
@@ -326,38 +377,49 @@ class RxProcessor:
 
     # -- double-cell combining ---------------------------------------------------
 
-    def _try_combine(self, first: _Placement
-                     ) -> Generator[Any, Any, Optional[_Placement]]:
+    def _try_combine(self, first: _Placement) -> None:
         """Peek the next FIFO cell; combine when its payload lands
         immediately after the first (section 2.5.1)."""
         if first.cell.eom:
-            return None
-        fifo = self.board.rx_fifo
-        nxt: Optional[Cell] = fifo.peek()
+            self._issue(None)
+            return
+        nxt: Optional[Cell] = self._fifo.peek()
         if nxt is None:
             # The successor may be one cell-time behind on the wire;
             # waiting for its header costs less than a separate DMA's
             # overhead, so the firmware holds briefly.
-            yield Delay(self.combine_wait_us)
-            nxt = fifo.peek()
-            if nxt is None:
-                return None
-        if nxt.vci != first.cell.vci:
-            return None
-        if not self._is_contiguous(first, nxt):
-            return None
-        # Both payloads must fit in one burst in the same buffer/page.
-        if (first.offset % self.bufsize) + 2 * AAL_PAYLOAD_BYTES > \
-                self.bufsize:
-            return None
-        if self.board.rx_dma.max_burst(first.addr, 2 * AAL_PAYLOAD_BYTES) \
-                < 2 * AAL_PAYLOAD_BYTES:
-            return None
-        ok, cell = fifo.try_get()
+            self.sim.call_after(self.combine_wait_us,
+                                self._combine_after_wait)
+            return
+        self._combine_with(nxt)
+
+    def _combine_after_wait(self) -> None:
+        nxt = self._fifo.peek()
+        if nxt is None:
+            self._issue(None)
+        else:
+            self._combine_with(nxt)
+
+    def _combine_with(self, nxt: Cell) -> None:
+        first = self._first
+        if (nxt.vci != first.cell.vci
+                or not self._is_contiguous(first, nxt)
+                # Both payloads must fit in one burst in the same
+                # buffer/page.
+                or (first.offset % self.bufsize) + 2 * AAL_PAYLOAD_BYTES
+                > self.bufsize
+                or self.board.rx_dma.max_burst(
+                    first.addr, 2 * AAL_PAYLOAD_BYTES)
+                < 2 * AAL_PAYLOAD_BYTES):
+            self._issue(None)
+            return
+        ok, cell = self._fifo.try_get()
         assert ok and cell is nxt
-        yield float(self.board.spec.rx_cell_us)
-        second = yield from self._plan(cell)
-        return second
+        self._cell = cell
+        self.sim.call_after(self._cell_us, self._on_second_time)
+
+    def _on_second_time(self) -> None:
+        self._plan(self._cell, self._issue)
 
     def _is_contiguous(self, first: _Placement, nxt: Cell) -> bool:
         mode = self.reassembly_mode
@@ -372,31 +434,38 @@ class RxProcessor:
 
     # -- DMA ------------------------------------------------------------------
 
-    def _issue_dma(self, first: _Placement,
-                   second: Optional[_Placement]
-                   ) -> Generator[Any, Any, None]:
-        """Issue one DMA command for a cell or a combined pair; blocks
+    def _issue(self, second: Optional[_Placement]) -> None:
+        """Issue one DMA command for a cell or a combined pair; waits
         only when the command queue is full (the engine runs
         concurrently with cell processing)."""
+        first = self._first
         copy = self.board.fidelity.copy_data
         if second is not None:
-            data = (first.cell.payload + second.cell.payload
-                    if copy else None)
-            nbytes = 2 * AAL_PAYLOAD_BYTES
+            self._data = (first.cell.payload + second.cell.payload
+                          if copy else None)
+            self._nbytes = 2 * AAL_PAYLOAD_BYTES
             self.combined_dmas += 1
         else:
-            data = first.cell.payload if copy else None
-            nbytes = AAL_PAYLOAD_BYTES
+            self._data = first.cell.payload if copy else None
+            self._nbytes = AAL_PAYLOAD_BYTES
             self.single_dmas += 1
+        self._second = second
         tokens = self._dma_tokens
-        if not tokens.try_get()[0]:
-            yield tokens.get()
-        first.state.last_dma = _RxDmaCommand(self, first.addr, data, nbytes)
+        if tokens.try_get()[0]:
+            self._command()
+        else:
+            tokens.get()._add_waiter(self._command)
+
+    def _command(self, _token: Any = None) -> None:
+        first = self._first
+        first.state.last_dma = _RxDmaCommand(self, first.addr, self._data,
+                                             self._nbytes)
+        self._post_dma(first, self._after_first)
 
     # -- completion ----------------------------------------------------------------
 
-    def _post_dma(self, placement: _Placement
-                  ) -> Generator[Any, Any, None]:
+    def _post_dma(self, placement: _Placement,
+                  then: Callable[[], None]) -> None:
         state = placement.state
         cell = placement.cell
         try:
@@ -420,18 +489,19 @@ class RxProcessor:
                 # their own EOMs complete.
                 self.loss_resyncs += 1
                 state.detector.gap_resync()
-            yield from self._deliver_pdu(state, error=True)
+            self._deliver_pdu(state, True, then)
             return
-        completed = self._completed(result)
-        if completed:
-            yield from self._deliver_pdu(state, error=False)
+        if self._completed(result):
+            self._deliver_pdu(state, False, then)
         elif self.reassembly_mode is SegmentMode.IN_ORDER:
             # 'When the buffer is filled ... the processor adds the
             # buffer to the receive queue' (section 2.1.1): hand over
             # buffers the PDU has grown past without waiting for the
             # end of the PDU.
-            yield from self._deliver_filled_buckets(
-                state, placement.bucket_index)
+            self._deliver_filled_buckets(state, placement.bucket_index,
+                                         then)
+        else:
+            then()
 
     def _completed(self, result: Any) -> bool:
         if result is None or result is False:
@@ -445,50 +515,75 @@ class RxProcessor:
         return False
 
     def _deliver_filled_buckets(self, state: _VciState,
-                                current_index: int
-                                ) -> Generator[Any, Any, None]:
+                                current_index: int,
+                                then: Callable[[], None]) -> None:
         ready = [i for i in sorted(state.buckets) if i < current_index]
         if not ready:
+            then()
             return
-        if state.last_dma is not None and not state.last_dma.done:
-            yield state.last_dma
-        for index in ready:
-            bucket = state.buckets.pop(index)
-            desc = Descriptor(addr=bucket.desc.addr, length=self.bufsize,
-                              flags=0, vci=state.vci)
-            yield from self._enqueue_received(state.channel, desc)
 
-    def _deliver_pdu(self, state: _VciState,
-                     error: bool) -> Generator[Any, Any, None]:
-        """PDU complete: wait for its last DMA, enqueue buffers, maybe
-        interrupt, reset per-PDU state."""
-        spec = self.board.spec
-        yield Delay(spec.rx_pdu_overhead_us)
-        if state.last_dma is not None and not state.last_dma.done:
-            yield state.last_dma
+        def enqueue(_value: Any = None) -> None:
+            descs = []
+            for index in ready:
+                bucket = state.buckets.pop(index)
+                descs.append(Descriptor(addr=bucket.desc.addr,
+                                        length=self.bufsize, flags=0,
+                                        vci=state.vci))
+            self._enqueue_received(state.channel, descs, 0, then)
+
+        self._join_last_dma(state, enqueue)
+
+    def _deliver_pdu(self, state: _VciState, error: bool,
+                     then: Callable[[], None]) -> None:
+        """PDU complete: wait out the wrap-up time and the PDU's last
+        DMA, enqueue its buffers, maybe interrupt, reset per-PDU
+        state."""
         channel = state.channel
-        total = state.max_offset_seen
-        indices = sorted(state.buckets)
-        for position, index in enumerate(indices):
-            bucket = state.buckets[index]
-            start = index * self.bufsize
-            length = min(self.bufsize, total - start)
-            flags = 0
-            if position == len(indices) - 1:
-                flags |= FLAG_END_OF_PDU
-            if error:
-                flags |= FLAG_ERROR
-            desc = Descriptor(addr=bucket.desc.addr, length=length,
-                              flags=flags, vci=state.vci)
-            yield from self._enqueue_received(channel, desc)
-        channel.pdus_received += 1
-        self.pdus_received += 1
-        self._reset_pdu(state)
 
-    def _enqueue_received(self, channel: Channel,
-                          desc: Descriptor) -> Generator[Any, Any, None]:
+        def enqueue(_value: Any = None) -> None:
+            total = state.max_offset_seen
+            indices = sorted(state.buckets)
+            descs = []
+            for position, index in enumerate(indices):
+                bucket = state.buckets[index]
+                start = index * self.bufsize
+                length = min(self.bufsize, total - start)
+                flags = 0
+                if position == len(indices) - 1:
+                    flags |= FLAG_END_OF_PDU
+                if error:
+                    flags |= FLAG_ERROR
+                descs.append(Descriptor(addr=bucket.desc.addr,
+                                        length=length, flags=flags,
+                                        vci=state.vci))
+            self._enqueue_received(channel, descs, 0, finished)
+
+        def finished() -> None:
+            channel.pdus_received += 1
+            self.pdus_received += 1
+            self._reset_pdu(state)
+            then()
+
+        self.sim.call_after(self.board.spec.rx_pdu_overhead_us,
+                            lambda: self._join_last_dma(state, enqueue))
+
+    def _join_last_dma(self, state: _VciState,
+                       then: Callable[..., None]) -> None:
+        """Run ``then`` once the VCI's last DMA command has landed."""
+        last = state.last_dma
+        if last is not None and not last.done:
+            last._add_waiter(then)
+        else:
+            then()
+
+    def _enqueue_received(self, channel: Channel, descs: list[Descriptor],
+                          start: int, then: Callable[[], None]) -> None:
+        """Push ``descs[start:]`` onto the receive queue, then call
+        ``then``.  A full queue parks the loop (flow-controlled) or
+        drops the buffer back to the board's pool (host overrun)."""
         queue = channel.recv_queue
-        while True:
+        for pos in range(start, len(descs)):
+            desc = descs[pos]
             # The adaptor-side pointer moves under the rx-processor
             # actor so the SRSW sanitizer can name the second writer
             # if one ever appears (paper section 2.1.1).
@@ -501,15 +596,18 @@ class RxProcessor:
                         self.board.raise_receive_irq(channel)
                 elif was_empty:
                     self.board.raise_receive_irq(channel)
+            elif self.flow_controlled:
+                # Retry this buffer once the host frees a slot.
+                queue.became_nonfull._add_waiter(
+                    lambda _queue, pos=pos: self._enqueue_received(
+                        channel, descs, pos, then))
                 return
-            if self.flow_controlled:
-                yield queue.became_nonfull
             else:
                 # Host overrun: drop and recycle the buffer on-board.
                 channel.anon_pool.append(
                     Descriptor(addr=desc.addr, length=self.bufsize))
                 channel.cells_dropped += 1
-                return
+        then()
 
     def _reset_pdu(self, state: _VciState) -> None:
         state.offset = 0
@@ -522,7 +620,69 @@ class RxProcessor:
             state.base_seq = reasm.next_seq
 
 
-class FramedPduSource:
+class _CellPacer:
+    """Replays framed PDUs into the receive FIFO at link cell pace.
+
+    A callback loop: build the next cell, wait ``cell_pace_us``, put it
+    into the bounded FIFO (parking while it is full), repeat.  Each PDU
+    is its framed bytes (the payload source; None in timing-only runs)
+    and its cell count; the list is replayed ``rounds`` times.  The
+    first cell is built in a start event of its own, which the pinned
+    event schedule counts.
+    """
+
+    def __init__(self, sim: Simulator, board: OsirisBoard, vci: int,
+                 pdus: list[tuple[Optional[bytes], int]], rounds: int,
+                 cell_pace_us: float):
+        self.sim = sim
+        self.board = board
+        self.vci = vci
+        self.cell_pace_us = cell_pace_us
+        self._pdus = pdus
+        self._rounds = rounds
+        self._rounds_done = 0
+        self._pdu = 0
+        self._index = 0
+        self._cell: Optional[Cell] = None
+        sim.call_now(self._advance)
+
+    def _advance(self, _value: Any = None) -> None:
+        """Build the next cell and wait out its pace; stop after the
+        last round."""
+        while self._rounds_done < self._rounds:
+            if self._pdu < len(self._pdus):
+                framed, n = self._pdus[self._pdu]
+                i = self._index
+                if i < n:
+                    self._index = i + 1
+                    payload = (framed[i * AAL_PAYLOAD_BYTES:
+                                      (i + 1) * AAL_PAYLOAD_BYTES]
+                               if framed is not None else b"")
+                    self._cell = Cell(vci=self.vci, payload=payload,
+                                      eom=(i == n - 1), tx_index=i)
+                    self.sim.call_after(self.cell_pace_us, self._put)
+                    return
+                self._pdu += 1
+                self._index = 0
+            else:
+                self._rounds_done += 1
+                self._pdu = 0
+
+    def _put(self) -> None:
+        self.board.rx_fifo.put(self._cell)._add_waiter(self._advance)
+
+
+def _framed_cells(board: OsirisBoard,
+                  data: bytes) -> tuple[Optional[bytes], int]:
+    """One PDU for a pacer: its AAL5 framing (kept only when the board
+    copies data) and its cell count."""
+    if board.fidelity.copy_data:
+        framed = encode_pdu(data)
+        return framed, len(framed) // AAL_PAYLOAD_BYTES
+    return None, framed_size(len(data)) // AAL_PAYLOAD_BYTES
+
+
+class FramedPduSource(_CellPacer):
     """Fictitious-PDU generator fed with explicit PDU contents.
 
     Used by the figure 2/3 harness: the PDUs are the IP fragments a
@@ -534,36 +694,17 @@ class FramedPduSource:
     def __init__(self, sim: Simulator, board: OsirisBoard, vci: int,
                  pdus: list[bytes], repeat: int,
                  cell_pace_us: float = 0.682):
-        self.sim = sim
-        self.board = board
-        self.vci = vci
         self.repeat = repeat
-        self.cell_pace_us = cell_pace_us
-        self.rounds_generated = 0
-        if board.fidelity.copy_data:
-            self._framed = [encode_pdu(p) for p in pdus]
-        else:
-            from ..atm.aal5 import framed_size
-            self._framed = [b"\x00" * framed_size(len(p)) for p in pdus]
-        self.process = spawn(sim, self._run(), "framed-source")
+        super().__init__(sim, board, vci,
+                         [_framed_cells(board, p) for p in pdus], repeat,
+                         cell_pace_us)
 
-    def _run(self) -> Generator[Any, Any, None]:
-        copy = self.board.fidelity.copy_data
-        for _ in range(self.repeat):
-            for framed in self._framed:
-                n = len(framed) // AAL_PAYLOAD_BYTES
-                for i in range(n):
-                    payload = (framed[i * AAL_PAYLOAD_BYTES:
-                                      (i + 1) * AAL_PAYLOAD_BYTES]
-                               if copy else b"")
-                    cell = Cell(vci=self.vci, payload=payload,
-                                eom=(i == n - 1), tx_index=i)
-                    yield Delay(self.cell_pace_us)
-                    yield self.board.rx_fifo.put(cell)
-            self.rounds_generated += 1
+    @property
+    def rounds_generated(self) -> int:
+        return self._rounds_done
 
 
-class FictitiousPduSource:
+class FictitiousPduSource(_CellPacer):
     """The receive-side isolation workload of section 4.
 
     'The receiver processor of the OSIRIS board was programmed to
@@ -577,42 +718,15 @@ class FictitiousPduSource:
     def __init__(self, sim: Simulator, board: OsirisBoard, vci: int,
                  pdu_bytes: int, pdu_count: int,
                  cell_pace_us: float = 0.682):
-        self.sim = sim
-        self.board = board
-        self.vci = vci
         self.pdu_bytes = pdu_bytes
         self.pdu_count = pdu_count
-        self.cell_pace_us = cell_pace_us
-        self.pdus_generated = 0
-        if board.fidelity.copy_data:
-            pattern = (b"OSIRIS!" * (pdu_bytes // 7 + 1))[:pdu_bytes]
-            self._framed = encode_pdu(pattern)
-        else:
-            from ..atm.aal5 import framed_size
-            self._framed = None
-            self._framed_len = framed_size(pdu_bytes)
-        self.process = spawn(sim, self._run(), "fictitious-source")
+        pattern = (b"OSIRIS!" * (pdu_bytes // 7 + 1))[:pdu_bytes]
+        super().__init__(sim, board, vci, [_framed_cells(board, pattern)],
+                         pdu_count, cell_pace_us)
 
-    def _cells(self):
-        if self._framed is not None:
-            n = len(self._framed) // AAL_PAYLOAD_BYTES
-        else:
-            n = self._framed_len // AAL_PAYLOAD_BYTES
-        for i in range(n):
-            if self._framed is not None:
-                payload = self._framed[i * AAL_PAYLOAD_BYTES:
-                                       (i + 1) * AAL_PAYLOAD_BYTES]
-            else:
-                payload = b""
-            yield Cell(vci=self.vci, payload=payload, eom=(i == n - 1),
-                       tx_index=i)
-
-    def _run(self) -> Generator[Any, Any, None]:
-        for _ in range(self.pdu_count):
-            for cell in self._cells():
-                yield Delay(self.cell_pace_us)
-                yield self.board.rx_fifo.put(cell)
-            self.pdus_generated += 1
+    @property
+    def pdus_generated(self) -> int:
+        return self._rounds_done
 
 
 __all__ = ["RxProcessor", "InterruptMode", "FictitiousPduSource",

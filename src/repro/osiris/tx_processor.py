@@ -25,18 +25,24 @@ Two multiplexing disciplines (section 2.5.1):
 Data fidelity: the AAL5 framing (padding, CRC trailer) is computed by
 the cell generator hardware at no modelled cost; the timed part is the
 per-cell command issue plus every DMA transaction on the bus.
+
+The loop is a callback state machine, not a generator process: each
+wait (queue empty, descriptors still arriving, per-PDU setup, a DMA
+read, a credit stall, the per-cell issue time) ends in the bound
+method that continues the loop, so a cell costs no process resume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from ..analysis.sanitize import maybe_actor
 from ..atm.aal5 import SegmentMode, cell_count, encode_pdu
 from ..atm.cell import Cell
 from ..atm.striping import StripedLink
 from ..hw.specs import AAL_PAYLOAD_BYTES
-from ..sim import Delay, Signal, Simulator, spawn
+from ..hw.dma import DmaTransaction
+from ..sim import Signal, Simulator
 from .board import Channel, OsirisBoard
 from .descriptors import Descriptor
 
@@ -46,9 +52,9 @@ DeliverFn = Callable[[Cell], None]
 class _PduTransmission:
     """Cursor state for one PDU being segmented onto the wire.
 
-    ``step()`` advances by exactly one cell (including any DMA bursts
-    needed to gather its payload), so the processor can interleave
-    several of these at cell granularity.
+    The processor advances it one cell (with any DMA bursts needed to
+    gather that cell's payload) at a time, so it can interleave several
+    of these at cell granularity.
     """
 
     def __init__(self, txp: "TxProcessor", channel: Channel,
@@ -68,10 +74,13 @@ class _PduTransmission:
         if txp.segment_mode is SegmentMode.SEQUENCE:
             txp._seq_counters[self.vci] = self.seq_base + self.n_cells
         self.emitted = 0
-        self._acc = 0
-        self._desc_index = 0
-        self._buf_offset = 0
-        self._data_left = self.total_len
+        # The data walk, advanced by the processor: bytes gathered but
+        # not yet emitted, the descriptor being read and the offset
+        # into it, and the host bytes still to read.
+        self.acc = 0
+        self.desc_index = 0
+        self.buf_offset = 0
+        self.data_left = self.total_len
 
     def _read_buffer(self, addr: int, length: int) -> bytes:
         """Descriptor contents, translating I/O-virtual addresses
@@ -98,94 +107,24 @@ class _PduTransmission:
     def consume_remaining(self) -> None:
         """Pop any descriptors not consumed by the data walk (empty
         buffers of a degenerate PDU)."""
-        while self._desc_index < len(self.descs):
+        while self.desc_index < len(self.descs):
             with maybe_actor("tx-processor"):
                 self.channel.tx_queue.pop(by_host=False)
             self.txp._maybe_tx_space_irq(self.channel)
-            self._desc_index += 1
-
-    def step(self) -> Generator[Any, Any, None]:
-        """Gather (via DMA) and emit the next cell."""
-        dma = self.txp.board.tx_dma
-        cap = dma.mode.max_bytes or 1 << 30
-        # DMA until one whole cell's payload has been gathered (two
-        # bursts at buffer/page edges -- the section 2.5.2 two-address
-        # continuation).  In double-cell mode one burst may gather two
-        # cells; emit both.
-        gathered = self._acc // AAL_PAYLOAD_BYTES
-        while self._data_left > 0 and gathered == 0:
-            desc = self.descs[self._desc_index]
-            addr = desc.addr + self._buf_offset
-            buf_left = desc.length - self._buf_offset
-            room = cap - self._acc
-            want = min(self._data_left, buf_left, room)
-            burst = dma.max_burst(addr, want)
-            yield from dma.read_host(addr, burst)
-            self._buf_offset += burst
-            self._data_left -= burst
-            self._acc += burst
-            if self._buf_offset == desc.length:
-                # Buffer fully read: NOW advance the tail pointer --
-                # the host's transmission-complete signal.
-                with maybe_actor("tx-processor"):
-                    popped = self.channel.tx_queue.pop(by_host=False)
-                assert popped == desc
-                self.txp._maybe_tx_space_irq(self.channel)
-                self._desc_index += 1
-                self._buf_offset = 0
-            gathered = self._acc // AAL_PAYLOAD_BYTES
-            if self._data_left == 0 and self._acc % AAL_PAYLOAD_BYTES:
-                gathered += 1  # final partial cell (pad+trailer follow)
-        if gathered > 0:
-            emit = max(gathered, 1)
-            self._acc -= min(self._acc, gathered * AAL_PAYLOAD_BYTES)
-            for _ in range(emit):
-                if self.emitted < self.n_cells:
-                    yield from self._emit_cell()
-            return
-        # Pad/trailer-only cells carry no host data.
-        yield from self._emit_cell()
-
-    def _emit_cell(self) -> Generator[Any, Any, None]:
-        txp = self.txp
-        index = self.emitted
-        gate = txp.credit_gate
-        if gate is not None and not gate.try_acquire(self.vci):
-            # Fabric backpressure: hold the cell until its VCI may
-            # emit (credit available / EFCI cooldown elapsed).
-            yield from gate.acquire(self.vci)
-        yield float(txp.board.spec.tx_cell_us)
-        if self.framed is not None:
-            payload = self.framed[index * AAL_PAYLOAD_BYTES:
-                                  (index + 1) * AAL_PAYLOAD_BYTES]
-        else:
-            payload = b""
-        if txp.segment_mode is SegmentMode.CONCURRENT:
-            stripe = txp.link.n_links if txp.link else 4
-            eom = index >= self.n_cells - min(stripe, self.n_cells)
-        else:
-            eom = index == self.n_cells - 1
-        cell = Cell(
-            vci=self.vci,
-            payload=payload,
-            eom=eom,
-            seq=(self.seq_base + index
-                 if txp.segment_mode is SegmentMode.SEQUENCE else None),
-            atm_last=(txp.segment_mode is SegmentMode.CONCURRENT
-                      and index == self.n_cells - 1),
-            tx_index=index,
-        )
-        self.emitted += 1
-        txp.cells_sent += 1
-        if txp.link is not None:
-            txp.link.submit(cell)
-        else:
-            assert txp.deliver is not None
-            txp.deliver(cell)
+            self.desc_index += 1
 
 
 class TxProcessor:
-    """Transmit processor: drains tx queues into cells on the link."""
+    """Transmit processor: drains tx queues into cells on the link.
+
+    One callback state machine serves both disciplines.  Per PDU:
+    :meth:`_loop` picks the channel(s), :meth:`_gather` peeks the
+    descriptors, :meth:`_begin_pdu` runs after the per-PDU setup time.
+    Per cell: :meth:`_step` reads (DMA) until a cell's payload is in,
+    :meth:`_next_cell` takes a credit, :meth:`_emit` issues the cell
+    after the per-cell time, and :meth:`_cell_done` moves on to the
+    next cell, the next channel in the ring, or the top of the loop.
+    """
 
     def __init__(self, sim: Simulator, board: OsirisBoard,
                  link: Optional[StripedLink] = None,
@@ -202,9 +141,9 @@ class TxProcessor:
         self.interleave = interleave
         self.work = Signal("tx.work")
         # Optional per-VCI emission gate (duck-typed: anything with a
-        # ``try_acquire(vci)`` test and an ``acquire(vci)`` subroutine,
-        # e.g. repro.cluster.backpressure.CreditGate).  The fabric
-        # installs one when flow control is on.
+        # ``try_acquire(vci)`` test and a ``wait(vci, then)`` callback
+        # stall, e.g. repro.cluster.backpressure.CreditGate).  The
+        # fabric installs one when flow control is on.
         self.credit_gate = None
         self.pdus_sent = 0
         self.cells_sent = 0
@@ -213,10 +152,26 @@ class TxProcessor:
         self.seq_migrations = 0
         self._last_served = 0
         self._active: dict[int, _PduTransmission] = {}
+        # Loop state: the channel being started (and the descriptors
+        # peeked so far), the PDU being stepped, the cells its current
+        # step may still emit, and the interleaved ring with the next
+        # position to serve.
+        self._channel: Optional[Channel] = None
+        self._descs: list[Descriptor] = []
+        self._tx: Optional[_PduTransmission] = None
+        self._cells_left = 0
+        self._ring: list[Channel] = []
+        self._ring_pos = 0
+        dma = board.tx_dma
+        self._dma = dma
+        self._dma_cap = dma.max_bytes or 1 << 30
+        self._cell_us = float(board.spec.tx_cell_us)
         for channel in board.channels:
             channel.tx_queue.became_nonempty.subscribe(
                 lambda _v: self.work.fire())
-        self.process = spawn(sim, self._run(), "tx-processor")
+        # The first pass is an event of its own; the pinned event
+        # schedule counts it.
+        sim.call_now(self._loop)
 
     def migrate_seq(self, old_vci: int, new_vci: int) -> None:
         """Carry a flow's cell sequence numbering to a new VCI (path
@@ -248,55 +203,65 @@ class TxProcessor:
         ring.sort(key=lambda ch: (ch.channel_id - self._last_served - 1) % n)
         return ring
 
-    def _run(self) -> Generator[Any, Any, None]:
-        while True:
-            ring = self._ready_channels()
-            if not ring:
-                yield self.work
-                continue
-            if self.interleave:
-                yield from self._step_interleaved(ring)
-            else:
-                channel = ring[0]
-                self._last_served = channel.channel_id
-                yield from self._transmit_whole_pdu(channel)
+    def _loop(self, _value: Any = None) -> None:
+        """Top of the loop: park on ``work`` while every queue is
+        empty; otherwise transmit a whole PDU from the first ready
+        channel (sequential) or one cell from each in turn
+        (interleaved)."""
+        ring = self._ready_channels()
+        if not ring:
+            self.work._add_waiter(self._loop)
+        elif self.interleave:
+            self._ring = ring
+            self._ring_pos = 0
+            self._next_channel()
+        else:
+            channel = ring[0]
+            self._last_served = channel.channel_id
+            self._start(channel)
 
-    # -- sequential discipline ---------------------------------------------------
-
-    def _transmit_whole_pdu(self, channel: Channel
-                            ) -> Generator[Any, Any, None]:
-        tx = yield from self._start_transmission(channel)
-        if tx is None:
+    def _next_channel(self) -> None:
+        """Interleaved: serve the next channel of the ring, or go back
+        to the top of the loop once the ring is done."""
+        if self._ring_pos == len(self._ring):
+            self._loop()
             return
-        while not tx.done:
-            yield from tx.step()
-        self._finish_transmission(tx)
+        channel = self._ring[self._ring_pos]
+        self._ring_pos += 1
+        tx = self._active.get(channel.channel_id)
+        if tx is None:
+            self._start(channel)
+            return
+        self._last_served = channel.channel_id
+        self._tx = tx
+        self._step()
 
-    # -- interleaved discipline -----------------------------------------------------
+    # -- per PDU ----------------------------------------------------------------
 
-    def _step_interleaved(self, ring: list[Channel]
-                          ) -> Generator[Any, Any, None]:
-        """One cell from each ready channel's active PDU, in turn."""
-        for channel in ring:
-            cid = channel.channel_id
-            tx = self._active.get(cid)
-            if tx is None:
-                tx = yield from self._start_transmission(channel)
-                if tx is None:
-                    continue
-                self._active[cid] = tx
-            self._last_served = cid
-            yield from tx.step()
-            if tx.done:
-                del self._active[cid]
-                self._finish_transmission(tx)
+    def _start(self, channel: Channel) -> None:
+        self._channel = channel
+        self._descs = []
+        self._gather()
 
-    # -- shared ----------------------------------------------------------------------
+    def _gather(self, _value: Any = None) -> None:
+        """Peek descriptors up to the END_OF_PDU flag, then check the
+        channel's page authorization and take the per-PDU setup time.
 
-    def _start_transmission(self, channel: Channel
-                            ) -> Generator[Any, Any,
-                                           Optional[_PduTransmission]]:
-        descs = yield from self._gather_pdu(channel)
+        The tail pointer is NOT advanced here: it only moves as each
+        buffer finishes transmission, because the host reads its
+        advance as the completion signal (section 2.1.2).
+        """
+        channel = self._channel
+        descs = self._descs
+        while True:
+            desc = channel.tx_queue.peek_at(len(descs), by_host=False)
+            if desc is None:
+                # Host is still queueing the PDU's remaining buffers.
+                channel.tx_queue.pushed._add_waiter(self._gather)
+                return
+            descs.append(desc)
+            if desc.end_of_pdu:
+                break
         for desc in descs:
             if not channel.page_authorized(desc.addr, desc.length,
                                            self.board.machine.page_size):
@@ -306,35 +271,150 @@ class TxProcessor:
                     with maybe_actor("tx-processor"):
                         channel.tx_queue.pop(by_host=False)
                     self._maybe_tx_space_irq(channel)
-                return None
-        yield Delay(self.board.spec.tx_pdu_overhead_us)
+                if self.interleave:
+                    self._next_channel()
+                else:
+                    self._loop()
+                return
+        self.sim.call_after(self.board.spec.tx_pdu_overhead_us,
+                            self._begin_pdu)
+
+    def _begin_pdu(self) -> None:
+        channel = self._channel
         if self.link is not None and not self.interleave:
             self.link.start_pdu()
-        return _PduTransmission(self, channel, descs)
+        tx = _PduTransmission(self, channel, self._descs)
+        self._tx = tx
+        if self.interleave:
+            self._active[channel.channel_id] = tx
+            self._last_served = channel.channel_id
+        self._step()
 
     def _finish_transmission(self, tx: _PduTransmission) -> None:
         tx.consume_remaining()
         tx.channel.pdus_sent += 1
         self.pdus_sent += 1
 
-    def _gather_pdu(self, channel: Channel
-                    ) -> Generator[Any, Any, list[Descriptor]]:
-        """Peek descriptors up to the END_OF_PDU flag.
+    # -- per cell -----------------------------------------------------------------
 
-        The tail pointer is NOT advanced here: it only moves as each
-        buffer finishes transmission, because the host reads its
-        advance as the completion signal (section 2.1.2).
-        """
-        descs: list[Descriptor] = []
-        while True:
-            desc = channel.tx_queue.peek_at(len(descs), by_host=False)
-            if desc is None:
-                # Host is still queueing the PDU's remaining buffers.
-                yield channel.tx_queue.pushed
-                continue
-            descs.append(desc)
-            if desc.end_of_pdu:
-                return descs
+    def _step(self) -> None:
+        """Advance the current PDU by one cell: DMA until one whole
+        cell's payload has been gathered (two bursts at buffer/page
+        edges -- the section 2.5.2 two-address continuation), then
+        emit.  In double-cell mode one burst may gather two cells;
+        both are emitted."""
+        tx = self._tx
+        if tx.data_left > 0 and tx.acc < AAL_PAYLOAD_BYTES:
+            self._read(tx)
+        else:
+            self._emit_gathered(tx, tx.acc // AAL_PAYLOAD_BYTES)
+
+    def _read(self, tx: _PduTransmission) -> None:
+        desc = tx.descs[tx.desc_index]
+        addr = desc.addr + tx.buf_offset
+        want = min(tx.data_left, desc.length - tx.buf_offset,
+                   self._dma_cap - tx.acc)
+        burst = self._dma.max_burst(addr, want)
+        DmaTransaction(self._dma, addr, burst, False, on_done=self._on_read)
+
+    def _on_read(self, txn: DmaTransaction) -> None:
+        tx = self._tx
+        burst = txn.nbytes
+        tx.buf_offset += burst
+        tx.data_left -= burst
+        tx.acc += burst
+        desc = tx.descs[tx.desc_index]
+        if tx.buf_offset == desc.length:
+            # Buffer fully read: NOW advance the tail pointer -- the
+            # host's transmission-complete signal.
+            with maybe_actor("tx-processor"):
+                popped = tx.channel.tx_queue.pop(by_host=False)
+            assert popped == desc
+            self._maybe_tx_space_irq(tx.channel)
+            tx.desc_index += 1
+            tx.buf_offset = 0
+        gathered = tx.acc // AAL_PAYLOAD_BYTES
+        if tx.data_left == 0 and tx.acc % AAL_PAYLOAD_BYTES:
+            gathered += 1  # final partial cell (pad+trailer follow)
+        if tx.data_left > 0 and gathered == 0:
+            self._read(tx)
+        else:
+            self._emit_gathered(tx, gathered)
+
+    def _emit_gathered(self, tx: _PduTransmission, gathered: int) -> None:
+        if gathered > 0:
+            tx.acc -= min(tx.acc, gathered * AAL_PAYLOAD_BYTES)
+            self._cells_left = gathered
+        else:
+            # Pad/trailer-only cells carry no host data.
+            self._cells_left = 1
+        self._next_cell()
+
+    def _next_cell(self) -> None:
+        tx = self._tx
+        if self._cells_left == 0 or tx.emitted >= tx.n_cells:
+            self._cell_done()
+            return
+        self._cells_left -= 1
+        gate = self.credit_gate
+        if gate is not None and not gate.try_acquire(tx.vci):
+            # Fabric backpressure: hold the cell until its VCI may
+            # emit (credit available / EFCI cooldown elapsed).
+            gate.wait(tx.vci, self._cell_time)
+        else:
+            self._cell_time()
+
+    def _cell_time(self) -> None:
+        self.sim.call_after(self._cell_us, self._emit)
+
+    def _emit(self) -> None:
+        tx = self._tx
+        index = tx.emitted
+        if tx.framed is not None:
+            payload = tx.framed[index * AAL_PAYLOAD_BYTES:
+                                (index + 1) * AAL_PAYLOAD_BYTES]
+        else:
+            payload = b""
+        n_cells = tx.n_cells
+        mode = self.segment_mode
+        if mode is SegmentMode.CONCURRENT:
+            stripe = self.link.n_links if self.link else 4
+            eom = index >= n_cells - min(stripe, n_cells)
+        else:
+            eom = index == n_cells - 1
+        cell = Cell(
+            vci=tx.vci,
+            payload=payload,
+            eom=eom,
+            seq=(tx.seq_base + index
+                 if mode is SegmentMode.SEQUENCE else None),
+            atm_last=(mode is SegmentMode.CONCURRENT
+                      and index == n_cells - 1),
+            tx_index=index,
+        )
+        tx.emitted += 1
+        self.cells_sent += 1
+        if self.link is not None:
+            self.link.submit(cell)
+        else:
+            assert self.deliver is not None
+            self.deliver(cell)
+        self._next_cell()
+
+    def _cell_done(self) -> None:
+        """The current step emitted its cells: finish the PDU if that
+        was its last cell, then continue the discipline."""
+        tx = self._tx
+        if self.interleave:
+            if tx.done:
+                del self._active[tx.channel.channel_id]
+                self._finish_transmission(tx)
+            self._next_channel()
+        elif tx.done:
+            self._finish_transmission(tx)
+            self._loop()
+        else:
+            self._step()
 
     def _maybe_tx_space_irq(self, channel: Channel) -> None:
         """Assert the transmit-space interrupt when the host asked for

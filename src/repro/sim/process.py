@@ -1,9 +1,13 @@
 """Generator-based simulation processes.
 
 A *process* is a Python generator that yields *commands* to the process
-kernel.  This mirrors how the real system is structured: the on-board
-i960 loops, the host interrupt handlers and the driver threads of the
-paper all become processes that explicitly spend simulated time.
+kernel.  The host side of the paper -- interrupt handlers, driver
+threads, protocol code -- is written as processes that explicitly spend
+simulated time.  The per-cell hot path is not: the on-board i960 loops
+(:mod:`repro.osiris.tx_processor`, :mod:`repro.osiris.rx_processor`),
+the DMA transactions and the switch drain are callback state machines
+that use the same awaitables through ``_add_waiter`` and schedule the
+same events a process would.
 
 Supported commands (anything a process may ``yield``):
 

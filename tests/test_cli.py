@@ -118,6 +118,27 @@ def test_cluster_rpc_render(capsys):
     assert "latency us" in out
 
 
+def test_cluster_render_shows_receive_losses(capsys):
+    """The text report names per-host FIFO drops and driver receive
+    errors when a run has them, and stays silent when it has none."""
+    argv = ["cluster", "--hosts", "4", "--pattern", "all2all",
+            "--backpressure", "credit", "--messages", "3", "--size", "2048"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main([*argv, "--json"]) == 0
+    hosts = json.loads(capsys.readouterr().out)["hosts"]
+    assert any(h["rx_fifo_drops"] for h in hosts)
+    for host in hosts:
+        line = next(row for row in text.splitlines()
+                    if row.startswith(f"  {host['name']} "))
+        for key, label in (("rx_fifo_drops", "rx-fifo drops"),
+                           ("rx_errors", "rx errors")):
+            if host[key]:
+                assert f"{label} {host[key]}" in line
+            else:
+                assert label not in line
+
+
 def test_table1_json_output(capsys):
     assert main(["table1", "--quick", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

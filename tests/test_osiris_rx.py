@@ -1,5 +1,7 @@
 """Receive processor tests: placement, combining, interrupts, drops."""
 
+import pytest
+
 from repro.atm import SegmentMode, cell_count, decode_pdu, segment
 from repro.hw.dma import DmaMode
 from repro.osiris import (
@@ -195,6 +197,27 @@ def test_concurrent_mode_with_lagging_link(rig):
     rig.sim.run()
     framed = rig.reassemble_host_side(rig.drain_received())
     assert decode_pdu(framed[0]) == data
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_concurrent_mode_round_trip_at_stripe_width(rig, width):
+    """Per-link placement counters are sized by the stripe width from
+    the first cell on, not only after the first PDU completes."""
+    rxp = _setup(rig, reassembly_mode=SegmentMode.CONCURRENT,
+                 stripe_width=width)
+    pdus = [bytes(range(200)) * 3, b"w" * 250]
+    cells = []
+    for data in pdus:
+        striped = segment(data, vci=5, mode=SegmentMode.CONCURRENT,
+                          stripe_width=width)
+        for i, cell in enumerate(striped):
+            cell.link_id = i % width
+        cells += striped
+    _feed(rig, cells)
+    rig.sim.run()
+    framed = rig.reassemble_host_side(rig.drain_received())
+    assert [decode_pdu(f) for f in framed] == pdus
+    assert rxp.pdus_received == 2 and rxp.pdus_errored == 0
 
 
 def test_fictitious_source_generates_valid_pdus(rig):

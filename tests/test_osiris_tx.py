@@ -45,7 +45,7 @@ def test_empty_queue_processor_waits(rig):
     txp, cells = _collect_tx(rig)
     rig.sim.run()
     assert cells == []
-    assert not txp.process.done
+    assert txp.work.waiter_count == 1
 
 
 def test_back_to_back_pdus(rig):
